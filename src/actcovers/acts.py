@@ -16,13 +16,24 @@ explicit, validated step.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, EmptySeedError
 from .monoid import Monoid
 
 DEFAULT_BUDGET = 10**6
+
+
+def _trusted(cls, *fields):
+    """Instance of a frozen dataclass with its fields set, unchecked.
+
+    For objects the library builds from parts it has already validated;
+    the public constructors keep every check.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, fields))
+    return obj
 
 
 @dataclass(frozen=True)
@@ -80,8 +91,8 @@ class ActMap:
         if len(self.image) != self.source.size:
             raise ValueError("image must list one target index per source element")
         for x, y in enumerate(self.image):
-            if not 0 <= y < self.target.size:
-                raise ValueError(f"image[{x}] = {y} out of range")
+            if not isinstance(y, int) or not 0 <= y < self.target.size:
+                raise ValueError(f"image[{x}] = {y!r} out of range")
         for x in range(self.source.size):
             for s in range(self.source.monoid.order):
                 if self.image[self.source.action[x][s]] != self.target.action[self.image[x]][s]:
@@ -94,8 +105,8 @@ class ActMap:
         """Composite self o inner."""
         if inner.target != self.source:
             raise ValueError("composition mismatch")
-        return ActMap(inner.source, self.target,
-                      tuple(self.image[y] for y in inner.image))
+        return _trusted(ActMap, inner.source, self.target,
+                        tuple(self.image[y] for y in inner.image))
 
     @property
     def is_epimorphism(self) -> bool:
@@ -115,7 +126,7 @@ class ActMap:
 
 
 def identity_map(a: Act) -> ActMap:
-    return ActMap(a, a, tuple(range(a.size)))
+    return _trusted(ActMap, a, a, tuple(range(a.size)))
 
 
 @dataclass(frozen=True)
@@ -135,11 +146,6 @@ class Relation:
         return (s, t) in self.pairs
 
 
-def all_pairs_relation(m: Monoid) -> Relation:
-    n = m.order
-    return Relation(m, frozenset((s, t) for s in range(n) for t in range(n)))
-
-
 def canonical_partition(classes: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """Members sorted within classes, classes sorted by least member."""
     normal = sorted(tuple(sorted(c)) for c in classes)
@@ -151,12 +157,14 @@ class RightCongruence:
     """Partition of S stable under right multiplication.
 
     classes is canonical: members ascending, classes ordered by least
-    member.  Construction validates both the partition property and
-    right compatibility, so instances are trustworthy by construction.
+    member.  The constructor validates both the partition property and
+    right compatibility; congruences the library computes itself are
+    built without the re-check.
     """
 
     monoid: Monoid
     classes: tuple[tuple[int, ...], ...]
+    _class_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.monoid.order
@@ -173,15 +181,12 @@ class RightCongruence:
         for ci, c in enumerate(self.classes):
             for x in c:
                 cls[x] = ci
-        t = self.monoid.table
-        for c in self.classes:
-            rep = c[0]
-            for x in c[1:]:
-                for u in range(n):
-                    if cls[t[rep][u]] != cls[t[x][u]]:
-                        raise ValueError(
-                            f"not right compatible: pair ({rep},{x}) breaks at u={u}"
-                        )
+        bad = _compatibility_failure(self.monoid.table, cls)
+        if bad is not None:
+            rep, x, u = bad
+            raise ValueError(
+                f"not right compatible: pair ({rep},{x}) breaks at u={u}"
+            )
         object.__setattr__(self, "_class_of", tuple(cls))
 
     @property
@@ -198,6 +203,39 @@ class RightCongruence:
                 for t in c:
                     pairs.add((s, t))
         return Relation(self.monoid, frozenset(pairs))
+
+
+def _compatibility_failure(table, class_of) -> Optional[tuple[int, int, int]]:
+    """First (rep, x, u) with x in the class of its least member rep but
+    rep*u and x*u in different classes, or None when the partition given
+    by the class vector is right compatible.  Classes are scanned in
+    canonical order, members ascending.
+    """
+    n = len(class_of)
+    reps: dict[int, int] = {}
+    for x in sorted(range(n), key=class_of.__getitem__):
+        rep = reps.setdefault(class_of[x], x)
+        if rep != x:
+            t_rep, t_x = table[rep], table[x]
+            for u in range(n):
+                if class_of[t_rep[u]] != class_of[t_x[u]]:
+                    return rep, x, u
+    return None
+
+
+def _canonical(keys: Iterable) -> tuple[int, ...]:
+    """Class vector of the partition by equal key, classes numbered in
+    order of their least member."""
+    number: dict = {}
+    return tuple(number.setdefault(k, len(number)) for k in keys)
+
+
+def _congruence(m: Monoid, class_of: tuple[int, ...]) -> RightCongruence:
+    """Trusted congruence from a canonical, right compatible class vector."""
+    classes: list[list[int]] = [[] for _ in range(max(class_of) + 1)]
+    for x, c in enumerate(class_of):
+        classes[c].append(x)
+    return _trusted(RightCongruence, m, tuple(map(tuple, classes)), class_of)
 
 
 def congruence_from_partition(m: Monoid, classes: Iterable[Iterable[int]]) -> RightCongruence:
@@ -281,39 +319,42 @@ def relation_to_congruence(m: Monoid, rel: Relation) -> RightCongruence:
     return congruence_from_partition(m, classes)
 
 
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list[int], a: int, b: int) -> bool:
+    """Merge the classes of a and b under the smaller root; False when
+    they were already one class."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return False
+    if rb < ra:
+        ra, rb = rb, ra
+    parent[rb] = ra
+    return True
+
+
 def congruence_closure(m: Monoid, seed: Iterable[tuple[int, int]]) -> RightCongruence:
     """Least right congruence containing the seed pairs.
 
     Union-find with saturation: whenever two classes merge, the merged
     pair is propagated along right multiplication by every element.
     """
-    seed = list(seed)
-    if not seed:
+    work = list(seed)
+    if not work:
         raise EmptySeedError("congruence closure needs at least one seed pair")
     n = m.order
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    work = list(seed)
     while work:
         s, t = work.pop()
-        rs, rt = find(s), find(t)
-        if rs == rt:
-            continue
-        if rt < rs:
-            rs, rt = rt, rs
-        parent[rt] = rs
-        for u in range(n):
-            work.append((m.table[s][u], m.table[t][u]))
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return congruence_from_partition(m, groups.values())
+        if _union(parent, s, t):
+            work.extend(zip(m.table[s], m.table[t]))
+    return _congruence(m, _canonical([_find(parent, x) for x in range(n)]))
+
 
 
 def pullback_relation(m: Monoid, tau, u: int) -> Relation:
@@ -334,13 +375,19 @@ def pullback_relation(m: Monoid, tau, u: int) -> Relation:
     return Relation(m, pairs)
 
 
+def _pullback_class_of(m: Monoid, tau: RightCongruence, u: int) -> tuple[int, ...]:
+    """Canonical class vector of the pullback of tau along u."""
+    cls = tau.class_of
+    return _canonical([cls[v] for v in m.table[u]])
+
+
 def regular_act(m: Monoid) -> Act:
     """The monoid acting on itself by right multiplication."""
-    return Act(m, m.elements, m.table)
+    return _trusted(Act, m, m.elements, m.table)
 
 
 def one_element_act(m: Monoid) -> Act:
-    return Act(m, ("theta",), (tuple(0 for _ in range(m.order)),))
+    return _trusted(Act, m, ("theta",), ((0,) * m.order,))
 
 
 def disjoint_union(acts: Sequence[Act], tags: Optional[Sequence[str]] = None) -> Act:
@@ -373,12 +420,12 @@ def quotient_act(m: Monoid, sigma: RightCongruence) -> Act:
         tuple(cls[m.table[c[0]][u]] for u in range(m.order))
         for c in sigma.classes
     )
-    return Act(m, labels, action)
+    return _trusted(Act, m, labels, action)
 
 
 def quotient_map(m: Monoid, sigma: RightCongruence) -> ActMap:
     """Projection from the regular act onto S/sigma."""
-    return ActMap(regular_act(m), quotient_act(m, sigma), sigma.class_of)
+    return _trusted(ActMap, regular_act(m), quotient_act(m, sigma), sigma.class_of)
 
 
 def canonical_projection(m: Monoid, sigma: RightCongruence, rho: RightCongruence) -> ActMap:
@@ -389,11 +436,11 @@ def canonical_projection(m: Monoid, sigma: RightCongruence, rho: RightCongruence
         if len(targets) != 1:
             raise ValueError("sigma does not refine rho")
         image.append(targets.pop())
-    return ActMap(quotient_act(m, sigma), quotient_act(m, rho), tuple(image))
+    return _trusted(ActMap, quotient_act(m, sigma), quotient_act(m, rho), tuple(image))
 
 
 def projection_to_one(a: Act) -> ActMap:
-    return ActMap(a, one_element_act(a.monoid), tuple(0 for _ in range(a.size)))
+    return _trusted(ActMap, a, one_element_act(a.monoid), (0,) * a.size)
 
 
 def subact_closure(a: Act, seed: Iterable[int]) -> tuple[int, ...]:
@@ -457,16 +504,22 @@ def homs(a: Act, b: Act, budget: int = DEFAULT_BUDGET) -> list[ActMap]:
     """
     if a.monoid != b.monoid:
         raise ValueError("acts must share the monoid")
+    return [_trusted(ActMap, a, b, f) for f in _hom_images(a, b, budget)]
+
+
+def _hom_images(a: Act, b: Act, budget: int, bijective: bool = False):
+    """Image tuples of the maps a -> b (only the bijections when asked),
+    in lexicographic order of the generator images."""
     gens = generating_set(a)
     needed = b.size ** len(gens)
     if needed > budget:
         raise BudgetExceededError(needed, budget)
-    out = []
     for images in itertools.product(range(b.size), repeat=len(gens)):
+        if bijective and len(set(images)) != len(images):
+            continue
         f = _extend(a, b, gens, images)
-        if f is not None:
-            out.append(ActMap(a, b, f))
-    return out
+        if f is not None and (not bijective or len(set(f)) == a.size):
+            yield f
 
 
 def _translation_profile(a: Act):
@@ -491,17 +544,8 @@ def are_isomorphic(a: Act, b: Act, budget: int = DEFAULT_BUDGET) -> Optional[Act
         return None
     if _translation_profile(a) != _translation_profile(b):
         return None
-    gens = generating_set(a)
-    needed = b.size ** len(gens)
-    if needed > budget:
-        raise BudgetExceededError(needed, budget)
-    for images in itertools.product(range(b.size), repeat=len(gens)):
-        if len(set(images)) != len(images):
-            continue
-        f = _extend(a, b, gens, images)
-        if f is not None and len(set(f)) == a.size:
-            return ActMap(a, b, f)
-    return None
+    f = next(_hom_images(a, b, budget, bijective=True), None)
+    return None if f is None else _trusted(ActMap, a, b, f)
 
 
 def cyclic_iso_witness(m: Monoid, sigma: RightCongruence, tau: RightCongruence) -> Optional[int]:
@@ -513,10 +557,9 @@ def cyclic_iso_witness(m: Monoid, sigma: RightCongruence, tau: RightCongruence) 
     makes it onto, so existence of such a u is equivalent to the two
     cyclic acts being isomorphic.
     """
-    sigma_pairs = sigma.relation().pairs
     qt = quotient_act(m, tau)
     for u in range(m.order):
-        if pullback_relation(m, tau, u).pairs != sigma_pairs:
+        if _pullback_class_of(m, tau, u) != sigma.class_of:
             continue
         if len(subact_closure(qt, [tau.class_of[u]])) == qt.size:
             return u
@@ -527,18 +570,12 @@ def all_right_congruences(m: Monoid) -> list[RightCongruence]:
     """Every right congruence, from set partitions in canonical order.
 
     Partitions are generated as restricted growth strings, so the
-    output order is deterministic.  Intended for monoids of desk size.
+    output order is deterministic; each string is the canonical class
+    vector of its partition.  Intended for monoids of desk size.
     """
-    n = m.order
-    out = []
-    for rgs in _restricted_growth_strings(n):
-        groups: dict[int, list[int]] = {}
-        for x, g in enumerate(rgs):
-            groups.setdefault(g, []).append(x)
-        classes = canonical_partition(groups.values())
-        if _right_compatible(m, classes):
-            out.append(RightCongruence(m, classes))
-    return out
+    t = m.table
+    return [_congruence(m, rgs) for rgs in _restricted_growth_strings(m.order)
+            if _compatibility_failure(t, rgs) is None]
 
 
 def _restricted_growth_strings(n: int):
@@ -554,18 +591,3 @@ def _restricted_growth_strings(n: int):
 
     yield from rec(1, 0)
 
-
-def _right_compatible(m: Monoid, classes) -> bool:
-    n = m.order
-    cls = [0] * n
-    for ci, c in enumerate(classes):
-        for x in c:
-            cls[x] = ci
-    t = m.table
-    for c in classes:
-        rep = c[0]
-        for x in c[1:]:
-            for u in range(n):
-                if cls[t[rep][u]] != cls[t[x][u]]:
-                    return False
-    return True

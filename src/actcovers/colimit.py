@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .acts import Act, ActMap, homs, identity_map
+from .acts import Act, ActMap, _find, _trusted, _union, homs, identity_map
 from .errors import BudgetExceededError, IncoherentArrowsError, NotDirectedError
 
 DEFAULT_BUDGET = 10**6
@@ -118,30 +118,16 @@ def compute_colimit(system: DirectedSystem) -> ColimitResult:
         offset[i] = len(tags)
         tags += [(i, x) for x in range(system.acts[i].size)]
     parent = list(range(len(tags)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
     for (i, j), f in system.arrows.items():
         for x in range(f.source.size):
-            union(offset[i] + x, offset[j] + f.image[x])
+            _union(parent, offset[i] + x, offset[j] + f.image[x])
 
-    roots = sorted({find(a) for a in range(len(tags))})
+    roots = sorted({_find(parent, a) for a in range(len(tags))})
     class_index = {r: c for c, r in enumerate(roots)}
     monoid = system.acts[system.nodes[0]].monoid
 
     def cls(i, x) -> int:
-        return class_index[find(offset[i] + x)]
+        return class_index[_find(parent, offset[i] + x)]
 
     labels = []
     for r in roots:
@@ -152,10 +138,14 @@ def compute_colimit(system: DirectedSystem) -> ColimitResult:
         i, x = tags[r]
         a = system.acts[i]
         action.append(tuple(cls(i, a.action[x][s]) for s in range(monoid.order)))
-    act = Act(monoid, tuple(labels), tuple(action))
+    # The arrows are equivariant, so the classes form an act; only the
+    # labels, built from node names, can collide.
+    if len(set(labels)) != len(labels):
+        raise ValueError("act element labels must be distinct")
+    act = _trusted(Act, monoid, tuple(labels), tuple(action))
     injections = {
-        i: ActMap(system.acts[i], act,
-                  tuple(cls(i, x) for x in range(system.acts[i].size)))
+        i: _trusted(ActMap, system.acts[i], act,
+                    tuple(cls(i, x) for x in range(system.acts[i].size)))
         for i in system.nodes
     }
     for (i, j), f in system.arrows.items():

@@ -15,8 +15,6 @@ from typing import Union
 
 from .acts import Act, ActMap, RightCongruence, congruence_from_partition
 from .colimit import DirectedSystem, make_system
-from .covers import CoverReport
-from .flatness import FlatnessReport
 from .monoid import Monoid, build_from_table
 
 
@@ -100,29 +98,13 @@ def system_from_doc(doc: dict, base: Union[Path, None] = None) -> DirectedSystem
     acts = {str(k): act_from_doc(v, base) for k, v in doc["acts"].items()}
     arrows = {}
     for key, image in doc["arrows"].items():
+        if not isinstance(image, list):
+            raise ValueError(f"arrow {key!r} image must be a list")
         i, j = (part.strip() for part in str(key).split(","))
         arrows[(i, j)] = ActMap(acts[i], acts[j], tuple(image))
     order = [tuple(p) for p in doc.get("order", [])]
     order += [pair for pair in arrows if pair not in order]
     return make_system(nodes, order, acts, arrows)
-
-
-def flatness_report_to_doc(report: FlatnessReport) -> dict:
-    witness = report.p_witness if report.p_witness is not None else report.e_witness
-    return {
-        "P": report.condition_p,
-        "E": report.condition_e,
-        "strongly_flat": report.strongly_flat,
-        "witness": list(witness) if witness is not None else None,
-    }
-
-
-def cover_report_to_doc(report: CoverReport) -> dict:
-    return {
-        "kind": report.kind,
-        "verdict": report.verdict,
-        "witness": list(report.witness) if report.witness is not None else None,
-    }
 
 
 def load_document(path: Union[str, Path]) -> dict:

@@ -294,7 +294,7 @@ def enumerate_monoids(order: int) -> Iterator[Monoid]:
         raise EmptySemigroupError("order must be positive")
     if order > ENUMERATION_BOUND:
         raise OrderTooLargeError(order, ENUMERATION_BOUND)
-    labels = ("1", "e1", "e2", "e3")[:order]
+    labels = ("1",) + tuple(f"e{i}" for i in range(1, order))
     n = order
     cells = [(i, j) for i in range(1, n) for j in range(1, n)]
     table: list[list[Optional[int]]] = [

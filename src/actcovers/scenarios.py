@@ -17,6 +17,7 @@ from typing import Optional
 
 from .acts import (
     RightCongruence,
+    _pullback_class_of,
     all_right_congruences,
     are_isomorphic,
     canonical_partition,
@@ -26,7 +27,6 @@ from .acts import (
     is_right_congruence,
     one_element_act,
     projection_to_one,
-    pullback_relation,
     quotient_act,
     Relation,
     relation_from_subset,
@@ -284,8 +284,8 @@ def run_qiao_wei(n: int, cap: Optional[int] = None) -> ScenarioReport:
     pull_bad = []
     for j in range(2, n + 1):
         for i in range(1, j):
-            got = pullback_relation(m, sigmas[j], m.index(f"x{i}^1"))
-            if got.pairs != sigmas[i].relation().pairs:
+            got = _pullback_class_of(m, sigmas[j], m.index(f"x{i}^1"))
+            if got != sigmas[i].class_of:
                 pull_ok = False
                 pull_bad.append((i, j))
     out.append(Assertion(
@@ -301,8 +301,7 @@ def run_qiao_wei(n: int, cap: Optional[int] = None) -> ScenarioReport:
     k_ok = True
     k_bad = []
     for j in range(1, n + 1):
-        got = pullback_relation(m, sigmas[j], x0)
-        if got.pairs != kernel.relation().pairs:
+        if _pullback_class_of(m, sigmas[j], x0) != kernel.class_of:
             k_ok = False
             k_bad.append(j)
     proper = cap < 2 or len(kernel.classes) > 1

@@ -15,10 +15,13 @@ from actcovers import (
     ActMap,
     BudgetExceededError,
     EmptySeedError,
+    Relation,
+    RightCongruence,
     all_right_congruences,
     are_isomorphic,
     build_from_table,
     canonical_projection,
+    compute_colimit,
     congruence_closure,
     congruence_from_partition,
     cyclic_iso_witness,
@@ -42,6 +45,7 @@ from actcovers import (
     right_zero_adjoin_one,
     subact_closure,
 )
+from test_acceptance import scenario_systems
 
 RZ2 = right_zero_adjoin_one(2)
 RZ3 = right_zero_adjoin_one(3)
@@ -380,3 +384,76 @@ class TestCyclicIsoWitness:
                         sb.class_of[m.mul(u, k[0])] for k in sa.classes)
                     f = ActMap(qa, qb, image)
                     assert f.is_bijective
+
+
+def trusted_range():
+    """Every monoid of order <= 4, the right-zero monoids of order 2..7
+    and one truncated two-family monoid."""
+    for n in range(1, 5):
+        yield from enumerate_monoids(n)
+    for n in range(1, 7):
+        yield right_zero_adjoin_one(n)
+    yield Q23
+
+
+def rechecked(obj):
+    """The same object built again through its validating constructor."""
+    if isinstance(obj, Act):
+        return Act(obj.monoid, obj.elements, obj.action)
+    if isinstance(obj, ActMap):
+        return ActMap(rechecked(obj.source), rechecked(obj.target), obj.image)
+    return RightCongruence(obj.monoid, obj.classes)
+
+
+class TestTrustedPath:
+    """Objects the library builds without re-validation pass the public
+    constructors' checks, and the congruence scan matches a scan of raw
+    relations."""
+
+    def test_congruences_match_relation_scan(self):
+        for m in trusted_range():
+            congs = all_right_congruences(m)
+            for c in congs:
+                public = rechecked(c)
+                assert public == c and public.class_of == c.class_of
+            assert [c.class_of for c in congs] == sorted(c.class_of for c in congs)
+            brute = []
+            for p in brute_partitions(list(range(m.order))):
+                rel = Relation(m, frozenset(
+                    (s, t) for blk in p for s in blk for t in blk))
+                if is_right_congruence(m, rel)[0]:
+                    brute.append(tuple(sorted(tuple(sorted(b)) for b in p)))
+            assert sorted(c.classes for c in congs) == sorted(brute)
+
+    def test_closures_and_quotients_pass_public_checks(self):
+        for m in trusted_range():
+            for c in all_right_congruences(m):
+                for obj in (quotient_act(m, c), quotient_map(m, c),
+                            canonical_projection(m, c, full_congruence(m))):
+                    assert rechecked(obj) == obj
+            for s, t in itertools.combinations(range(m.order), 2):
+                c = congruence_closure(m, [(s, t)])
+                assert rechecked(c).class_of == c.class_of
+
+    def test_homs_between_right_zero_quotients_pass_public_checks(self):
+        for n in range(1, 5):
+            m = right_zero_adjoin_one(n)
+            quots = [quotient_act(m, c) for c in all_right_congruences(m)]
+            for a in quots:
+                for b in quots:
+                    for h in homs(a, b):
+                        assert rechecked(h) == h
+                    iso = are_isomorphic(a, b)
+                    assert iso is None or rechecked(iso) == iso
+
+    def test_scenario_colimits_pass_public_checks(self):
+        for system in scenario_systems().values():
+            result = compute_colimit(system)
+            assert rechecked(result.act) == result.act
+            for i, inj in result.injections.items():
+                assert rechecked(inj) == inj
+                assert rechecked(identity_map(system.acts[i])) == \
+                    identity_map(system.acts[i])
+            for (i, j), f in system.arrows.items():
+                composite = result.injections[j].after(f)
+                assert rechecked(composite) == composite

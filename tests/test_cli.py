@@ -168,6 +168,15 @@ class TestCheck:
                                  "table": [[0, 1, 2], [1, 0, 0], [2, 0, 1]]}))
         assert main(["check", str(q)]) == 2
 
+    @pytest.mark.parametrize("image", [[1.0, 1, 2], "012", 5])
+    def test_bad_arrow_image(self, tmp_path, system_file, image, capsys):
+        doc = json.loads(open(system_file).read())
+        doc["arrows"]["0,1"] = image
+        p = tmp_path / "bad_arrow.json"
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p), "--op", "validate"]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unknown_op_rejected_by_argparse(self, monoid_file):
         with pytest.raises(SystemExit):
             main(["check", monoid_file, "--op", "frobnicate"])

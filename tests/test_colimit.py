@@ -155,6 +155,15 @@ class TestColimit:
         res = compute_colimit(make_system((0,), [], {0: u}, {}))
         assert res.act.size == 4
 
+    def test_colliding_labels_rejected(self):
+        # nodes 1 and "1" both label their classes "1:..."; the identity
+        # of node "1" is not in the arrow's image, so its class and the
+        # class of node 1's identity are both labelled "1:1"
+        system = make_system((1, "1"), [(1, "1")], {1: S, "1": S},
+                             {(1, "1"): LAM_Z1})
+        with pytest.raises(ValueError):
+            compute_colimit(system)
+
 
 class TestCocones:
     def test_chain_cocones_to_s(self):

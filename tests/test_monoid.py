@@ -9,6 +9,7 @@ import itertools
 
 import pytest
 
+import actcovers.monoid as monoid_module
 from actcovers import (
     BadIndexError,
     EmptySemigroupError,
@@ -259,6 +260,11 @@ class TestEnumeration:
     def test_order_bound(self):
         with pytest.raises(OrderTooLargeError):
             list(enumerate_monoids(5))
+
+    def test_labels_follow_the_order(self, monkeypatch):
+        monkeypatch.setattr(monoid_module, "ENUMERATION_BOUND", 5)
+        first = next(enumerate_monoids(5))
+        assert first.elements == ("1", "e1", "e2", "e3", "e4")
 
     def test_group_implies_cancellative(self):
         for n in range(1, 4):

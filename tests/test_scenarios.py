@@ -1,5 +1,6 @@
 """Scenario drivers: verdicts, determinism, parameter validation."""
 
+import hashlib
 import json
 
 import pytest
@@ -149,3 +150,19 @@ class TestReportPlumbing:
     def test_to_doc_is_json_clean(self):
         for rep in (run_rightzero(2), run_qiao_wei(2), run_lemma(2)):
             json.dumps(rep.to_doc())
+
+    def test_golden_bytes(self):
+        # sha256 of the concatenated canonical bytes, pinned when every
+        # report was computed through the validating constructors; the
+        # library-built objects must not change a single byte.
+        h = hashlib.sha256()
+        for n in range(1, 6):
+            h.update(run_rightzero(n).canonical_bytes())
+        for n in range(1, 5):
+            for cap in range(1, 7):
+                h.update(run_qiao_wei(n, cap).canonical_bytes())
+        for k in range(1, 5):
+            h.update(run_lemma(k).canonical_bytes())
+        h.update(run_kruml(0, 200).canonical_bytes())
+        assert h.hexdigest() == (
+            "89b6d3a493630148349474a7a950b9a369e364998e93f5ff95fe671f0b4903c6")
