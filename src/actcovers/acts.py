@@ -308,15 +308,15 @@ def relation_to_congruence(m: Monoid, rel: Relation) -> RightCongruence:
     ok, witness = is_right_congruence(m, rel)
     if not ok:
         raise ValueError(f"relation is not a right congruence: {witness}")
+    return _checked_congruence(m, rel)
+
+
+def _checked_congruence(m: Monoid, rel: Relation) -> RightCongruence:
+    """Trusted congruence of a relation that passed is_right_congruence,
+    each element keyed by its least related element."""
     n = m.order
-    unassigned = set(range(n))
-    classes = []
-    while unassigned:
-        s = min(unassigned)
-        c = sorted(t for t in range(n) if rel.holds(s, t))
-        classes.append(c)
-        unassigned.difference_update(c)
-    return congruence_from_partition(m, classes)
+    return _congruence(m, _canonical(
+        next(t for t in range(n) if rel.holds(s, t)) for s in range(n)))
 
 
 def _find(parent: list[int], x: int) -> int:

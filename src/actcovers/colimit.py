@@ -13,10 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .acts import Act, ActMap, _find, _trusted, _union, homs, identity_map
+from .acts import DEFAULT_BUDGET, Act, ActMap, _find, _trusted, _union, homs, identity_map
 from .errors import BudgetExceededError, IncoherentArrowsError, NotDirectedError
-
-DEFAULT_BUDGET = 10**6
 
 
 @dataclass(frozen=True)

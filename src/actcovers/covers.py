@@ -27,6 +27,7 @@ from .acts import (
     all_right_congruences,
     are_isomorphic,
     cyclic_iso_witness,
+    generating_set,
     homs,
     quotient_act,
     subact_closure,
@@ -101,7 +102,7 @@ def search_sf_coessential_covers(
     """
     if m.order > max_order:
         raise MonoidTooLargeError(m.order, max_order)
-    if len(subact_closure(target, [_least_generator(target)])) != target.size:
+    if len(generating_set(target)) != 1:
         raise ValueError("target must be cyclic")
     found = []
     for sigma in all_right_congruences(m):
@@ -113,13 +114,6 @@ def search_sf_coessential_covers(
                 found.append((sigma, g))
                 break
     return found
-
-
-def _least_generator(a: Act) -> int:
-    for x in range(a.size):
-        if len(subact_closure(a, [x])) == a.size:
-            return x
-    return 0
 
 
 def unique_up_to_iso(m: Monoid, congruences: Sequence[RightCongruence]) -> bool:

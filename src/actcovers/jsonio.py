@@ -18,6 +18,13 @@ from .colimit import DirectedSystem, make_system
 from .monoid import Monoid, build_from_table
 
 
+def _expect(value, kind, what: str):
+    """The value if it is a JSON array (list) or object (dict) as asked."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {'array' if kind is list else 'object'}")
+    return value
+
+
 def monoid_to_doc(m: Monoid) -> dict:
     return {
         "elements": list(m.elements),
@@ -32,6 +39,7 @@ def monoid_from_doc(doc: dict) -> Monoid:
     elements = doc.get("elements")
     if elements is None:
         elements = [f"s{i}" for i in range(len(doc["table"]))]
+    _expect(elements, list, "monoid 'elements'")
     if doc.get("identity", 0) != 0:
         raise ValueError("identity must sit at index 0")
     return build_from_table([str(e) for e in elements],
@@ -62,6 +70,7 @@ def act_from_doc(doc: dict, base: Union[Path, None] = None) -> Act:
     elements = doc.get("elements")
     if elements is None:
         elements = [f"a{i}" for i in range(len(doc["action"]))]
+    _expect(elements, list, "act 'elements'")
     return Act(m, tuple(str(e) for e in elements),
                tuple(tuple(row) for row in doc["action"]))
 
@@ -91,9 +100,10 @@ def system_to_doc(system: DirectedSystem) -> dict:
 
 
 def system_from_doc(doc: dict, base: Union[Path, None] = None) -> DirectedSystem:
-    for field in ("nodes", "acts", "arrows"):
+    for field, kind in (("nodes", list), ("acts", dict), ("arrows", dict)):
         if field not in doc:
             raise ValueError(f"system document needs a {field!r} field")
+        _expect(doc[field], kind, f"system {field!r}")
     nodes = [str(n) for n in doc["nodes"]]
     acts = {str(k): act_from_doc(v, base) for k, v in doc["acts"].items()}
     arrows = {}
@@ -102,7 +112,8 @@ def system_from_doc(doc: dict, base: Union[Path, None] = None) -> DirectedSystem
             raise ValueError(f"arrow {key!r} image must be a list")
         i, j = (part.strip() for part in str(key).split(","))
         arrows[(i, j)] = ActMap(acts[i], acts[j], tuple(image))
-    order = [tuple(p) for p in doc.get("order", [])]
+    order = [tuple(_expect(p, list, "system order pair"))
+             for p in _expect(doc.get("order", []), list, "system 'order'")]
     order += [pair for pair in arrows if pair not in order]
     return make_system(nodes, order, acts, arrows)
 

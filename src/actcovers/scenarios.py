@@ -16,21 +16,20 @@ from itertools import combinations, permutations
 from typing import Optional
 
 from .acts import (
+    Relation,
     RightCongruence,
+    _canonical,
+    _checked_congruence,
+    _congruence,
     _pullback_class_of,
-    all_right_congruences,
     are_isomorphic,
-    canonical_partition,
     canonical_projection,
-    congruence_from_partition,
     cyclic_iso_witness,
     is_right_congruence,
     one_element_act,
     projection_to_one,
     quotient_act,
-    Relation,
     relation_from_subset,
-    relation_to_congruence,
 )
 from .covers import is_coessential, search_sf_coessential_covers, unique_up_to_iso
 from .errors import OrderTooLargeError, TooFewSamplesError
@@ -122,6 +121,57 @@ def _finish(name: str, assertions, seed, started) -> ScenarioReport:
     return ScenarioReport(name, tuple(assertions), seed, elapsed)
 
 
+def _subset_congruences(m, member_sets):
+    """(congruences of relation_from_subset, None) over the member sets,
+    each relation checked once, or (None, (k, is_right_congruence
+    witness)) for the first set k that fails."""
+    sigmas = []
+    for k, members in enumerate(member_sets):
+        rel = relation_from_subset(m, members)
+        ok, why = is_right_congruence(m, rel)
+        if not ok:
+            return None, (k, why)
+        sigmas.append(_checked_congruence(m, rel))
+    return sigmas, None
+
+
+def rightzero_sigmas(m):
+    """sigma_{z_1}..sigma_{z_n} from the member sets {1, z_i}."""
+    return _subset_congruences(m, [(0, i) for i in range(1, m.order)])
+
+
+def qiao_sigmas(m, n):
+    """sigma_0..sigma_n, sigma_i from {1} and the powers of x_i."""
+    return _subset_congruences(m, [
+        m.submonoid_closure((0, m.index(f"x{i}^1"))) for i in range(n + 1)])
+
+
+def qiao_rho(m) -> Relation:
+    """rho: the powers of x_0 in one class, everything else in the other."""
+    n = m.order
+    zero = [m.label(s).startswith("x0^") for s in range(n)]
+    return Relation(m, frozenset(
+        (s, t) for s in range(n) for t in range(n) if zero[s] == zero[t]))
+
+
+def left_kernel(m, u: int) -> RightCongruence:
+    """Kernel of left translation s -> u*s; always a right congruence,
+    since u*s = u*t gives u*s*v = u*t*v."""
+    return _congruence(m, _canonical(m.table[u]))
+
+
+def _pairwise_isomorphic(m, named):
+    """(all certified, pairs): each pair of (name, sigma, quotient)
+    triples as (name, name, label of the least translation witness),
+    the label None unless an explicit bijection also exists."""
+    pairs = []
+    for (na, sa, qa), (nb, sb, qb) in combinations(named, 2):
+        u = cyclic_iso_witness(m, sa, sb)
+        iso = u is not None and are_isomorphic(qa, qb) is not None
+        pairs.append((na, nb, m.label(u) if iso else None))
+    return all(label is not None for _, _, label in pairs), pairs
+
+
 def run_rightzero(n: int) -> ScenarioReport:
     """Right-zero semigroup with an identity adjoined: the n translation
     congruences give n pairwise-isomorphic strongly flat coessential
@@ -133,21 +183,11 @@ def run_rightzero(n: int) -> ScenarioReport:
     m = right_zero_adjoin_one(n)
     theta = one_element_act(m)
 
-    sigmas = []
-    cong_ok = True
-    cong_witness = None
-    for i in range(1, n + 1):
-        rel = relation_from_subset(m, (0, i))
-        ok, why = is_right_congruence(m, rel)
-        if not ok:
-            cong_ok = False
-            cong_witness = (m.label(i), why)
-            break
-        sigmas.append(relation_to_congruence(m, rel))
+    sigmas, bad = rightzero_sigmas(m)
     out.append(Assertion(
         "each subset-translation relation sigma_{z_i} is a right congruence",
-        cong_ok, cong_witness))
-    if not cong_ok:
+        sigmas is not None, bad and (m.label(bad[0] + 1), bad[1])))
+    if sigmas is None:
         return _finish(f"rightzero(n={n})", out, None, started)
 
     distinct = all(
@@ -176,16 +216,8 @@ def run_rightzero(n: int) -> ScenarioReport:
         "every projection S/sigma_{z_i} -> theta is coessential",
         not bad_coess, bad_coess or None))
 
-    witnesses = []
-    iso_ok = True
-    for (i, s1), (j, s2) in combinations(enumerate(sigmas), 2):
-        u = cyclic_iso_witness(m, s1, s2)
-        structural = are_isomorphic(quotients[i], quotients[j])
-        if u is None or structural is None:
-            iso_ok = False
-            witnesses.append((f"z{i + 1}", f"z{j + 1}", None))
-        else:
-            witnesses.append((f"z{i + 1}", f"z{j + 1}", m.label(u)))
+    iso_ok, witnesses = _pairwise_isomorphic(m, [
+        (f"z{i + 1}", s, q) for i, (s, q) in enumerate(zip(sigmas, quotients))])
     out.append(Assertion(
         "all quotients are pairwise isomorphic, each certified by a "
         "translation witness and by an explicit bijection",
@@ -205,21 +237,6 @@ def run_rightzero(n: int) -> ScenarioReport:
         unique_up_to_iso(m, [s for s, _ in found]),
         None))
     return _finish(f"rightzero(n={n})", out, None, started)
-
-
-def _qiao_sigma(m, n):
-    """The subset-translation congruences sigma_0..sigma_n, sigma_i
-    built from {1} together with the cyclic submonoid of x_i."""
-    sigmas = []
-    for i in range(n + 1):
-        gen = m.index(f"x{i}^1")
-        members = m.submonoid_closure((0, gen))
-        rel = relation_from_subset(m, members)
-        ok, why = is_right_congruence(m, rel)
-        if not ok:
-            return None, (i, why)
-        sigmas.append(relation_to_congruence(m, rel))
-    return sigmas, None
 
 
 def run_qiao_wei(n: int, cap: Optional[int] = None) -> ScenarioReport:
@@ -264,7 +281,7 @@ def run_qiao_wei(n: int, cap: Optional[int] = None) -> ScenarioReport:
     out.append(Assertion(
         "x_0^cap is a two-sided zero", two_sided, m.label(zero)))
 
-    sigmas, bad = _qiao_sigma(m, n)
+    sigmas, bad = qiao_sigmas(m, n)
     out.append(Assertion(
         "each sigma_i (0 <= i <= n) is a right congruence",
         sigmas is not None, bad))
@@ -280,50 +297,33 @@ def run_qiao_wei(n: int, cap: Optional[int] = None) -> ScenarioReport:
         "sigma_0 is the full relation (x_0^cap reaches every pair)",
         len(sigmas[0].classes) == 1, None))
 
-    pull_ok = True
-    pull_bad = []
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            got = _pullback_class_of(m, sigmas[j], m.index(f"x{i}^1"))
-            if got != sigmas[i].class_of:
-                pull_ok = False
-                pull_bad.append((i, j))
+    pull_bad = [
+        (i, j) for j in range(2, n + 1) for i in range(1, j)
+        if _pullback_class_of(m, sigmas[j], m.index(f"x{i}^1")) != sigmas[i].class_of]
     out.append(Assertion(
         "pullback of sigma_j along x_i equals sigma_i for 1 <= i < j",
-        pull_ok, pull_bad or None))
+        not pull_bad, pull_bad or None))
 
     x0 = m.index("x0^1")
-    kernel_classes = {}
-    for s in range(m.order):
-        kernel_classes.setdefault(m.table[x0][s], []).append(s)
-    kernel = congruence_from_partition(
-        m, canonical_partition(kernel_classes.values()))
-    k_ok = True
-    k_bad = []
-    for j in range(1, n + 1):
-        if _pullback_class_of(m, sigmas[j], x0) != kernel.class_of:
-            k_ok = False
-            k_bad.append(j)
+    kernel = left_kernel(m, x0)
+    k_bad = [j for j in range(1, n + 1)
+             if _pullback_class_of(m, sigmas[j], x0) != kernel.class_of]
     proper = cap < 2 or len(kernel.classes) > 1
     out.append(Assertion(
         "pullback of sigma_j along x_0 equals the kernel of left "
         "translation by x_0 (strictly finer than sigma_0 when cap >= 2)",
-        k_ok and proper,
+        not k_bad and proper,
         k_bad or [[m.label(x) for x in k] for k in kernel.classes]))
 
-    ones = [s for s in range(m.order)
-            if not m.label(s).startswith("x0^")]
-    zeros = [s for s in range(m.order) if m.label(s).startswith("x0^")]
-    rho_rel = Relation(m, frozenset(
-        [(s, t) for s in ones for t in ones]
-        + [(s, t) for s in zeros for t in zeros]))
+    rho_rel = qiao_rho(m)
     rho_ok, rho_why = is_right_congruence(m, rho_rel)
     out.append(Assertion(
         "rho (x_0 powers in one class, everything else in the other) "
         "is a right congruence", rho_ok, rho_why))
     if not rho_ok:
         return _finish(f"qiao-wei(n={n},cap={cap})", out, None, started)
-    rho = relation_to_congruence(m, rho_rel)
+    rho = _checked_congruence(m, rho_rel)
+    ones = rho.classes[0]
 
     rz_ok = True
     rz_wit = []
@@ -355,16 +355,8 @@ def run_qiao_wei(n: int, cap: Optional[int] = None) -> ScenarioReport:
         "every projection S/sigma_i -> S/rho (i >= 1) is coessential",
         not coess_bad, coess_bad or None))
 
-    iso_ok = True
-    iso_wit = []
-    for i, j in combinations(range(1, n + 1), 2):
-        u = cyclic_iso_witness(m, sigmas[i], sigmas[j])
-        structural = are_isomorphic(quotients[i], quotients[j])
-        if u is None or structural is None:
-            iso_ok = False
-            iso_wit.append((f"sigma_{i}", f"sigma_{j}", None))
-        else:
-            iso_wit.append((f"sigma_{i}", f"sigma_{j}", m.label(u)))
+    iso_ok, iso_wit = _pairwise_isomorphic(m, [
+        (f"sigma_{i}", sigmas[i], quotients[i]) for i in range(1, n + 1)])
     out.append(Assertion(
         "the S/sigma_i (i >= 1) are pairwise isomorphic with "
         "translation witnesses", iso_ok, iso_wit or None))

@@ -41,34 +41,21 @@ from actcovers import (
     quotient_act,
     quotient_map,
     regular_act,
-    relation_from_subset,
     relation_to_congruence,
     right_zero_adjoin_one,
     search_sf_coessential_covers,
     subact_closure,
     verify_universality,
 )
-from actcovers.scenarios import run_kruml, run_lemma
+from actcovers.scenarios import (
+    qiao_rho,
+    qiao_sigmas,
+    rightzero_sigmas,
+    run_kruml,
+    run_lemma,
+)
 
 RZ2 = right_zero_adjoin_one(2)
-
-
-def translation_sigma(m, i):
-    return relation_to_congruence(m, relation_from_subset(m, (0, i)))
-
-
-def qiao_sigma(m, i):
-    gen = m.elements.index(f"x{i}^1")
-    subset = m.submonoid_closure((0, gen))
-    return relation_to_congruence(m, relation_from_subset(m, subset))
-
-
-def qiao_rho(m):
-    zero_class = tuple(
-        k for k, lab in enumerate(m.elements) if lab.startswith("x0^"))
-    one_class = tuple(
-        k for k in range(m.order) if k not in zero_class)
-    return congruence_from_partition(m, (one_class, zero_class))
 
 
 def finish(acceptance_log, index, name, checks, started, budget_s=None):
@@ -91,7 +78,7 @@ def test_criterion_1_rightzero_covers(acceptance_log):
     for n in (2, 3):
         m = right_zero_adjoin_one(n)
         theta = one_element_act(m)
-        sigmas = [translation_sigma(m, i) for i in range(1, n + 1)]
+        sigmas, _ = rightzero_sigmas(m)
         quots = [quotient_act(m, s) for s in sigmas]
         checks.append((
             f"n={n}: the sigma_z_i are pairwise distinct partitions",
@@ -135,7 +122,7 @@ def test_criterion_2_truncated_monoid(acceptance_log):
         expected_order == 10 and m.order == expected_order
         and "x3^3" not in m.elements)]
 
-    sigmas = [qiao_sigma(m, i) for i in range(4)]
+    sigmas, _ = qiao_sigmas(m, n)
     checks.append((
         "sigma_0..sigma_3 are pairwise distinct",
         len({s.classes for s in sigmas}) == 4))
@@ -166,7 +153,7 @@ def test_criterion_2_truncated_monoid(acceptance_log):
         "x3, x3^2}, {x0}, {x0^2}, {x0^3, x0^4}, not SxS, for j = 1..3",
         outer))
 
-    rho = qiao_rho(m)
+    rho = relation_to_congruence(m, qiao_rho(m))
     one_class = rho.classes[rho.class_of[0]]
     zero_ok = all(
         m.mul(t, m.power(x[j], j)) == m.power(x[j], j)
@@ -243,7 +230,7 @@ def scenario_systems():
     S = regular_act(RZ2)
     lam_z1 = ActMap(S, S, (1, 1, 2))
     lam_z2 = ActMap(S, S, (2, 1, 2))
-    sigma1 = translation_sigma(RZ2, 1)
+    sigma1 = rightzero_sigmas(RZ2)[0][0]
     q1 = quotient_act(RZ2, sigma1)
     theta = one_element_act(RZ2)
     chain = make_system(
@@ -293,8 +280,9 @@ def test_criterion_5_oracle_equivalences(acceptance_log):
         pools.append([a for a in acts if a.size <= 6])
     for n, cap in ((2, 3), (3, 4)):
         m = qiao_wei_truncated(n, cap)
-        acts = [one_element_act(m), quotient_act(m, qiao_rho(m))]
-        acts += [quotient_act(m, qiao_sigma(m, i)) for i in range(n + 1)]
+        acts = [one_element_act(m),
+                quotient_act(m, relation_to_congruence(m, qiao_rho(m)))]
+        acts += [quotient_act(m, s) for s in qiao_sigmas(m, n)[0]]
         pools.append([a for a in acts if a.size <= 6])
     co_agree = True
     epis = 0
@@ -338,8 +326,7 @@ def test_criterion_6_cover_semantics(acceptance_log):
     m = RZ2
     S = regular_act(m)
     theta = one_element_act(m)
-    q1 = quotient_act(m, translation_sigma(m, 1))
-    q2 = quotient_act(m, translation_sigma(m, 2))
+    q1, q2 = (quotient_act(m, s) for s in rightzero_sigmas(m)[0])
     family = [S, q1, q2, theta]
     checks = []
 

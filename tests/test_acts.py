@@ -45,6 +45,7 @@ from actcovers import (
     right_zero_adjoin_one,
     subact_closure,
 )
+from actcovers.scenarios import left_kernel, qiao_rho, qiao_sigmas
 from test_acceptance import scenario_systems
 
 RZ2 = right_zero_adjoin_one(2)
@@ -396,6 +397,14 @@ def trusted_range():
     yield Q23
 
 
+def public_congruence(m, rel):
+    """RightCongruence through the validating constructor, its classes
+    read off the relation."""
+    n = m.order
+    return RightCongruence(m, tuple(sorted(
+        {tuple(t for t in range(n) if rel.holds(s, t)) for s in range(n)})))
+
+
 def rechecked(obj):
     """The same object built again through its validating constructor."""
     if isinstance(obj, Act):
@@ -457,3 +466,39 @@ class TestTrustedPath:
             for (i, j), f in system.arrows.items():
                 composite = result.injections[j].after(f)
                 assert rechecked(composite) == composite
+
+    def test_subset_relations_convert_or_raise(self):
+        converted = rejected = 0
+        for n in range(1, 5):
+            for m in enumerate_monoids(n):
+                for r in range(n):
+                    for rest in itertools.combinations(range(1, n), r):
+                        rel = relation_from_subset(m, (0,) + rest)
+                        if not is_right_congruence(m, rel)[0]:
+                            rejected += 1
+                            with pytest.raises(ValueError):
+                                relation_to_congruence(m, rel)
+                            continue
+                        converted += 1
+                        c = relation_to_congruence(m, rel)
+                        public = public_congruence(m, rel)
+                        assert c == public and c.class_of == public.class_of
+        assert converted and rejected
+
+    def test_scenario_congruences_match_public_rebuilds(self):
+        for n in range(1, 5):
+            for cap in range(1, 7):
+                m = qiao_wei_truncated(n, cap)
+                sigmas, bad = qiao_sigmas(m, n)
+                assert bad is None
+                x0 = m.index("x0^1")
+                rebuilt = [public_congruence(m, relation_from_subset(
+                    m, m.submonoid_closure((0, m.index(f"x{i}^1")))))
+                    for i in range(n + 1)]
+                rebuilt.append(public_congruence(m, qiao_rho(m)))
+                rebuilt.append(public_congruence(
+                    m, pullback_relation(m, diagonal_congruence(m), x0)))
+                shared = sigmas + [relation_to_congruence(m, qiao_rho(m)),
+                                   left_kernel(m, x0)]
+                for c, public in zip(shared, rebuilt, strict=True):
+                    assert c == public and c.class_of == public.class_of

@@ -177,6 +177,24 @@ class TestCheck:
         assert main(["check", str(p), "--op", "validate"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("monoid", "elements", 7),
+        ("theta", "elements", 7),
+        ("system", "acts", 5),
+        ("system", "arrows", []),
+        ("system", "nodes", 5),
+        ("system", "order", 5),
+        ("system", "order", [5]),
+    ])
+    def test_field_of_wrong_type(self, request, tmp_path, kind, field, value, capsys):
+        doc = json.loads(open(request.getfixturevalue(f"{kind}_file")).read())
+        doc[field] = value
+        p = tmp_path / "bad_field.json"
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_unknown_op_rejected_by_argparse(self, monoid_file):
         with pytest.raises(SystemExit):
             main(["check", monoid_file, "--op", "frobnicate"])
