@@ -48,7 +48,6 @@ from .covers import (
 )
 from .errors import (
     ActcoversError,
-    AlreadyMemberError,
     BadIndexError,
     BudgetExceededError,
     EmptySeedError,

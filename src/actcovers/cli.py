@@ -156,8 +156,6 @@ def main(argv=None) -> int:
             return _emit(run_lemma(args.max_order), args.json)
         if args.command == "kruml-nf":
             word = tuple(args.letters)
-            if any(i < 0 for i in word):
-                raise ValueError("letter indices must be nonnegative")
             nf = knormalize(word)
             if args.json:
                 sys.stdout.write(dump_canonical({

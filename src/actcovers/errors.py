@@ -84,10 +84,6 @@ class IncoherentArrowsError(ActcoversError):
         )
 
 
-class AlreadyMemberError(ActcoversError):
-    pass
-
-
 class NotSubsetError(ActcoversError):
     pass
 

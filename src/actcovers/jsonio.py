@@ -43,7 +43,8 @@ def monoid_from_doc(doc: dict) -> Monoid:
     if doc.get("identity", 0) != 0:
         raise ValueError("identity must sit at index 0")
     return build_from_table([str(e) for e in elements],
-                            [list(row) for row in doc["table"]])
+                            [list(_expect(row, list, "monoid 'table' row"))
+                             for row in doc["table"]])
 
 
 def act_to_doc(a: Act) -> dict:
@@ -67,12 +68,13 @@ def act_from_doc(doc: dict, base: Union[Path, None] = None) -> Act:
     if not isinstance(doc, dict) or "action" not in doc:
         raise ValueError("act document needs an 'action' field")
     m = _resolve_monoid(doc["monoid"], base)
+    action = tuple(tuple(_expect(row, list, "act 'action' row"))
+                   for row in _expect(doc["action"], list, "act 'action'"))
     elements = doc.get("elements")
     if elements is None:
-        elements = [f"a{i}" for i in range(len(doc["action"]))]
+        elements = [f"a{i}" for i in range(len(action))]
     _expect(elements, list, "act 'elements'")
-    return Act(m, tuple(str(e) for e in elements),
-               tuple(tuple(row) for row in doc["action"]))
+    return Act(m, tuple(str(e) for e in elements), action)
 
 
 def congruence_to_doc(c: RightCongruence) -> dict:
@@ -112,8 +114,12 @@ def system_from_doc(doc: dict, base: Union[Path, None] = None) -> DirectedSystem
             raise ValueError(f"arrow {key!r} image must be a list")
         i, j = (part.strip() for part in str(key).split(","))
         arrows[(i, j)] = ActMap(acts[i], acts[j], tuple(image))
-    order = [tuple(_expect(p, list, "system order pair"))
-             for p in _expect(doc.get("order", []), list, "system 'order'")]
+    order = []
+    for p in _expect(doc.get("order", []), list, "system 'order'"):
+        _expect(p, list, "system order pair")
+        if len(p) != 2 or any(isinstance(x, (list, dict)) for x in p):
+            raise ValueError("system order pair must hold two node names")
+        order.append(tuple(p))
     order += [pair for pair in arrows if pair not in order]
     return make_system(nodes, order, acts, arrows)
 

@@ -8,42 +8,49 @@ all i <= j.  Oriented right to left this is the rewrite rule
 
 which strictly decreases the index sum, so rewriting terminates; the
 only overlaps are confluent, so every word has a unique normal form:
-the words with nondecreasing indices.  Multiplication is concatenate
+the words with nondecreasing indices, found in one insertion pass:
+prepending a_m to a normal word moves a_m right past each smaller
+letter, m dropping by one at each step.  Multiplication is concatenate
 then normalize.  Left multiplication is injective (cancellable); right
 multiplication is not, e.g. a0*a0 = a1*a0 and a2*a1 = a1*a1.
 
 FinXSystem models the directed system indexed by finite subsets Y of
 an ordered label set X: each object is a copy of the monoid, and the
 arrow for Y into Y + {z} is left multiplication by a_i where i counts
-the members of Y below z.  Transitions along any insertion order of a
-larger subset agree, so equality of colimit elements is decided by
-pushing both into the union of their subsets.
+the members of Y below z.  A transition inserts the missing labels in
+ground order, so i is z's position in the larger subset.  Transitions
+along any insertion order agree, so equality of colimit elements is
+decided by pushing both into the union of their subsets.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .errors import AlreadyMemberError, NotSubsetError
+from .errors import NotSubsetError
 
 KWord = tuple  # tuple of int generator indices
 
 
+def _prepend(m: int, w: KWord) -> KWord:
+    """The normal form of a_m*w for a normal word w."""
+    pos = 0
+    while pos < len(w) and m > w[pos]:
+        m -= 1
+        pos += 1
+    return w[:pos] + (m,) + w[pos:]
+
+
 def knormalize(word: Sequence[int]) -> KWord:
-    """Normal form via leftmost-redex rewriting."""
-    w = list(word)
-    if any(i < 0 for i in w):
+    """Normal form via one insertion pass, right to left."""
+    if any(i < 0 for i in word):
         raise ValueError("generator indices must be nonnegative")
-    while True:
-        for pos in range(len(w) - 1):
-            m, i = w[pos], w[pos + 1]
-            if m > i:
-                w[pos], w[pos + 1] = i, m - 1
-                break
-        else:
-            return tuple(w)
+    w = ()
+    for m in reversed(word):
+        w = _prepend(m, w)
+    return w
 
 
 def knormalize_random(word: Sequence[int], rng: random.Random) -> KWord:
@@ -134,20 +141,12 @@ class FinXSystem:
     def element(self, labels: Iterable[str], word: Sequence[int]) -> ColimitElement:
         return ColimitElement(self._check_subset(labels), knormalize(word))
 
-    def insertion_index(self, labels: Iterable[str], z: str) -> int:
-        """How many members of the subset precede z in the ground order."""
-        subset = self._check_subset(labels)
-        if z not in self._rank:
-            raise ValueError(f"label {z!r} not in the ground set")
-        if z in subset:
-            raise AlreadyMemberError(f"label {z!r} already in the subset")
-        rz = self._rank[z]
-        return sum(1 for y in subset if self._rank[y] < rz)
-
     def transition(self, small: Iterable[str], large: Iterable[str], word: Sequence[int]) -> KWord:
         """Push a word from the copy at the small subset into the copy
-        at the large one: insert the missing labels in ascending order,
-        each step prepending the corresponding generator.
+        at the large one in one insertion pass: each missing label, in
+        ground order, prepends a_i, where i is its position in the large
+        subset (its members below the label are those of the small one
+        plus the labels already inserted).
 
         Path independence of the insertion order is a library invariant
         (exercised by the tests), so ascending order is just a fixed
@@ -155,15 +154,12 @@ class FinXSystem:
         """
         small = self._check_subset(small)
         large = self._check_subset(large)
-        missing = [z for z in large if z not in small]
-        if len(small) + len(missing) != len(large):
+        if not set(small) <= set(large):
             raise NotSubsetError("first subset must be contained in the second")
-        current = list(small)
         w = knormalize(word)
-        for z in sorted(missing, key=self._rank.get):
-            i = self.insertion_index(current, z)
-            w = knormalize((i,) + w)
-            current.append(z)
+        for i, z in enumerate(large):
+            if z not in small:
+                w = _prepend(i, w)
         return w
 
     def colimit_equal(self, e1: ColimitElement, e2: ColimitElement) -> bool:

@@ -455,7 +455,7 @@ def run_kruml(seed: int, samples: int = 1000) -> ScenarioReport:
                 for order in permutations(missing):
                     cur, word = small, knormalize(w)
                     for z in order:
-                        nxt = tuple(sorted(set(cur) | {z}, key=fs._rank.get))
+                        nxt = cur + (z,)
                         word = fs.transition(cur, nxt, word)
                         cur = nxt
                     if word != canonical:
@@ -523,14 +523,13 @@ def run_lemma(max_order: int) -> ScenarioReport:
         for m in enumerate_monoids(k):
             examined += 1
             right, _ = is_cancellative(m, "right")
+            group = is_group(m)
             if right:
                 cancellative += 1
-                if not is_group(m):
+                if not group:
                     bad = [list(row) for row in m.table]
                     break
-            if is_group(m) and not (
-                is_cancellative(m, "left")[0] and is_cancellative(m, "right")[0]
-            ):
+            if group and not (is_cancellative(m, "left")[0] and right):
                 group_bad = [list(row) for row in m.table]
                 break
         out.append(Assertion(

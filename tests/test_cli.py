@@ -185,6 +185,13 @@ class TestCheck:
         ("system", "nodes", 5),
         ("system", "order", 5),
         ("system", "order", [5]),
+        ("monoid", "table", [[0, 1], 5]),
+        ("theta", "action", 5),
+        ("theta", "action", [3]),
+        ("system", "order", [["0"]]),
+        ("system", "order", [["0", "1", "1"]]),
+        ("system", "order", [[["0"], "1"]]),
+        ("system", "order", [["0", {"1": 1}]]),
     ])
     def test_field_of_wrong_type(self, request, tmp_path, kind, field, value, capsys):
         doc = json.loads(open(request.getfixturevalue(f"{kind}_file")).read())

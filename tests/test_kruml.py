@@ -11,7 +11,6 @@ import random
 import pytest
 
 from actcovers import (
-    AlreadyMemberError,
     ColimitElement,
     FinXSystem,
     NotSubsetError,
@@ -70,6 +69,13 @@ class TestNormalize:
         rng = random.Random(5)
         for _ in range(300):
             w = tuple(rng.randrange(5) for _ in range(rng.randrange(8)))
+            assert knormalize(w) == knormalize_random(w, rng)
+
+    def test_long_words_agree_with_random_strategy(self):
+        # the lengths of the benchmark's words, where a letter moves far
+        rng = random.Random(11)
+        for _ in range(20):
+            w = tuple(rng.randrange(13) for _ in range(rng.randint(40, 200)))
             assert knormalize(w) == knormalize_random(w, rng)
 
     def test_exhaustive_short_words(self):
@@ -133,11 +139,6 @@ class TestNormalWords:
 class TestFinXSystem:
     FS = FinXSystem(("x", "y", "z", "t"))
 
-    def test_insertion_indices(self):
-        assert self.FS.insertion_index(("x",), "y") == 1
-        assert self.FS.insertion_index(("y",), "x") == 0
-        assert self.FS.insertion_index(("x", "y", "z"), "t") == 3
-
     def test_transitions(self):
         fs = self.FS
         assert fs.transition(("x",), ("x", "y"), ()) == (1,)
@@ -156,10 +157,28 @@ class TestFinXSystem:
             for perm in itertools.permutations(("y", "z", "t")):
                 cur, word = ["x"], knormalize(w)
                 for lab in perm:
-                    i = fs.insertion_index(cur, lab)
+                    i = sum(1 for y in fs.ground[:fs.ground.index(lab)] if y in cur)
                     word = knormalize((i,) + word)
                     cur.append(lab)
                 assert word == target
+
+    def test_transition_matches_stepwise_reference(self):
+        # each missing label inserted alone, in ground order, indexed by
+        # the current members below it and normalized by the rightmost
+        # rewriter: shares no code with transition
+        ground = ("a", "b", "c", "d", "e", "f")
+        fs = FinXSystem(ground)
+        for flags in itertools.product((0, 1, 2), repeat=len(ground)):
+            small = tuple(z for z, f in zip(ground, flags) if f == 2)
+            large = tuple(z for z, f in zip(ground, flags) if f)
+            for w in ((), (0,), (3, 0), (1, 1, 4), (5, 2, 0, 2)):
+                cur, want = set(small), rightmost_normalize(w)
+                for lab in large:
+                    if lab not in cur:
+                        i = sum(1 for y in ground[:ground.index(lab)] if y in cur)
+                        want = rightmost_normalize((i,) + want)
+                        cur.add(lab)
+                assert fs.transition(small, large, w) == want
 
     def test_beta_identities(self):
         # prepending a1 in the copy at {x,y} is the same colimit element
@@ -192,10 +211,6 @@ class TestFinXSystem:
         fs = self.FS
         with pytest.raises(ValueError):
             fs.element(("w",), ())
-        with pytest.raises(ValueError):
-            fs.insertion_index(("x",), "w")
-        with pytest.raises(AlreadyMemberError):
-            fs.insertion_index(("x", "y"), "x")
         with pytest.raises(NotSubsetError):
             fs.transition(("x", "z"), ("x", "y"), ())
         with pytest.raises(ValueError):
