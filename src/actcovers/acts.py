@@ -391,25 +391,24 @@ def one_element_act(m: Monoid) -> Act:
 
 
 def disjoint_union(acts: Sequence[Act], tags: Optional[Sequence[str]] = None) -> Act:
+    """Coproduct of acts over one monoid: element x of the k-th act is
+    labelled f"{tag}:{x}", where tag is k unless tags are given."""
     if not acts:
         raise ValueError("disjoint union needs at least one act")
     monoid = acts[0].monoid
     if tags is None:
-        tags = [str(i) for i in range(len(acts))]
+        tags = range(len(acts))
     labels = []
     action = []
-    offsets = []
-    off = 0
-    for a, tag in zip(acts, tags):
+    for a, tag in zip(acts, tags, strict=True):
         if a.monoid != monoid:
             raise ValueError("all acts must share the monoid")
-        offsets.append(off)
+        base = len(labels)
         labels += [f"{tag}:{lab}" for lab in a.elements]
-        off += a.size
-    for a, base in zip(acts, offsets):
-        for row in a.action:
-            action.append(tuple(base + y for y in row))
-    return Act(monoid, tuple(labels), tuple(action))
+        action += [tuple([base + y for y in row]) for row in a.action]
+    if len(set(labels)) != len(labels):
+        raise ValueError("act element labels must be distinct")
+    return _trusted(Act, monoid, tuple(labels), tuple(action))
 
 
 def quotient_act(m: Monoid, sigma: RightCongruence) -> Act:

@@ -1,19 +1,21 @@
 """Directed colimits of finite systems of acts.
 
 A directed system is a finite poset of nodes, an act per node, and a
-coherent family of act maps along the order.  The colimit is computed
-by union-find on the tagged disjoint union: (i, x) is merged with
-(j, arrow(x)) for every arrow i -> j.  Universality is then checked
-directly against probe acts by enumerating every cocone.
+coherent family of act maps along the order.  The colimit is the
+quotient of the disjoint union of the node acts (acts.disjoint_union,
+tagged by node position) under union-find: x of node i is merged with
+arrow(x) of node j for every arrow i -> j.  Universality is then
+checked directly against probe acts by enumerating every cocone.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
-from .acts import DEFAULT_BUDGET, Act, ActMap, _find, _trusted, _union, homs, identity_map
+from .acts import (DEFAULT_BUDGET, Act, ActMap, _canonical, _find, _trusted, _union,
+                   disjoint_union, homs, identity_map)
 from .errors import BudgetExceededError, IncoherentArrowsError, NotDirectedError
 
 
@@ -104,47 +106,31 @@ class ColimitResult:
 
 
 def compute_colimit(system: DirectedSystem) -> ColimitResult:
-    """Union-find over the tagged disjoint union of all node acts.
+    """The quotient of the disjoint union of the node acts by the arrows.
 
-    Classes are ordered by their least tagged element (node position,
-    element index) and labelled by it; injections send each node's
-    elements to their classes and commute with the arrows.
+    The union tags each node's elements with the node's position in
+    system.nodes, so labels never depend on node names.  Union-find
+    merges x of node i with arrow(x) of node j for every arrow i -> j.
+    Each class is labelled by its least member and acts through it, and
+    classes are ordered by it; the injections are slices of the class
+    vector and commute with the arrows.
     """
-    tags = []
-    offset = {}
-    for i in system.nodes:
-        offset[i] = len(tags)
-        tags += [(i, x) for x in range(system.acts[i].size)]
-    parent = list(range(len(tags)))
+    sizes = [system.acts[i].size for i in system.nodes]
+    union = disjoint_union([system.acts[i] for i in system.nodes])
+    start = dict(zip(system.nodes, itertools.accumulate(sizes, initial=0)))
+    parent = list(range(union.size))
     for (i, j), f in system.arrows.items():
-        for x in range(f.source.size):
-            _union(parent, offset[i] + x, offset[j] + f.image[x])
-
-    roots = sorted({_find(parent, a) for a in range(len(tags))})
-    class_index = {r: c for c, r in enumerate(roots)}
-    monoid = system.acts[system.nodes[0]].monoid
-
-    def cls(i, x) -> int:
-        return class_index[_find(parent, offset[i] + x)]
-
-    labels = []
-    for r in roots:
-        i, x = tags[r]
-        labels.append(f"{i}:{system.acts[i].elements[x]}")
-    action = []
-    for r in roots:
-        i, x = tags[r]
-        a = system.acts[i]
-        action.append(tuple(cls(i, a.action[x][s]) for s in range(monoid.order)))
-    # The arrows are equivariant, so the classes form an act; only the
-    # labels, built from node names, can collide.
-    if len(set(labels)) != len(labels):
-        raise ValueError("act element labels must be distinct")
-    act = _trusted(Act, monoid, tuple(labels), tuple(action))
+        for x, y in enumerate(f.image):
+            _union(parent, start[i] + x, start[j] + y)
+    # _union keeps the smaller root, so roots are least members
+    roots = [_find(parent, a) for a in range(union.size)]
+    reps = [a for a, r in enumerate(roots) if a == r]
+    cls = _canonical(roots)
+    act = _trusted(Act, union.monoid, tuple(union.elements[r] for r in reps),
+                   tuple(tuple([cls[y] for y in union.action[r]]) for r in reps))
     injections = {
-        i: _trusted(ActMap, system.acts[i], act,
-                    tuple(cls(i, x) for x in range(system.acts[i].size)))
-        for i in system.nodes
+        i: _trusted(ActMap, system.acts[i], act, cls[start[i]:start[i] + n])
+        for i, n in zip(system.nodes, sizes)
     }
     for (i, j), f in system.arrows.items():
         if injections[j].after(f) != injections[i]:

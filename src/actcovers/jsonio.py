@@ -3,8 +3,8 @@
 Field orders are fixed so that serialized documents are byte-stable:
 monoids are {"elements", "identity", "table"}, acts are {"monoid",
 "elements", "action"} where "monoid" may be an inline document or a
-path string, congruences are {"monoid", "classes"}, and systems are
-{"nodes", "order", "acts", "arrows"} with arrow keys "i,j".
+path string, and systems are {"nodes", "order", "acts", "arrows"} with
+arrow keys "i,j".
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from .acts import Act, ActMap, RightCongruence, congruence_from_partition
+from .acts import Act, ActMap
 from .colimit import DirectedSystem, make_system
 from .monoid import Monoid, build_from_table
 
@@ -75,18 +75,6 @@ def act_from_doc(doc: dict, base: Union[Path, None] = None) -> Act:
         elements = [f"a{i}" for i in range(len(action))]
     _expect(elements, list, "act 'elements'")
     return Act(m, tuple(str(e) for e in elements), action)
-
-
-def congruence_to_doc(c: RightCongruence) -> dict:
-    return {
-        "monoid": monoid_to_doc(c.monoid),
-        "classes": [list(k) for k in c.classes],
-    }
-
-
-def congruence_from_doc(doc: dict, base: Union[Path, None] = None) -> RightCongruence:
-    m = _resolve_monoid(doc["monoid"], base)
-    return congruence_from_partition(m, [tuple(k) for k in doc["classes"]])
 
 
 def system_to_doc(system: DirectedSystem) -> dict:

@@ -467,6 +467,23 @@ class TestTrustedPath:
                 composite = result.injections[j].after(f)
                 assert rechecked(composite) == composite
 
+    def test_disjoint_unions_pass_public_checks(self):
+        parts = (regular_act(RZ2), quotient_act(RZ2, sigma(RZ2, 1)),
+                 one_element_act(RZ2))
+        for k in range(1, 4):
+            for acts in itertools.product(parts, repeat=k):
+                for tags in (None, ("p", "q:", "r")[:k]):
+                    u = disjoint_union(acts, tags)
+                    assert rechecked(u) == u
+
+    def test_disjoint_union_rejects_bad_input(self):
+        S = regular_act(RZ2)
+        relabelled = Act(RZ2, ("b:1", "b:z1", "b:z2"), S.action)
+        for acts, tags in [([S, S], ("a", "a")), ([relabelled, S], ("a", "a:b")),
+                           ([S, S], ("a",)), ([S, regular_act(RZ3)], None)]:
+            with pytest.raises(ValueError):
+                disjoint_union(acts, tags)
+
     def test_subset_relations_convert_or_raise(self):
         converted = rejected = 0
         for n in range(1, 5):

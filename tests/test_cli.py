@@ -5,6 +5,7 @@ import json
 import pytest
 
 from actcovers import (
+    Act,
     ActMap,
     congruence_from_partition,
     make_system,
@@ -140,6 +141,21 @@ class TestCheck:
         witness = doc["assertions"][1]["witness"]
         assert witness["act"]["elements"] == ["0:1", "0:z2", "1:1"]
         assert witness["injections"]["0"] == [0, 0, 1]
+
+    def test_colimit_labels_ignore_node_names(self, tmp_path, capsys):
+        # node "a" tagging its element "b:1" and node "a:b" tagging its
+        # element "1" would both give "a:b:1"; position tags do not
+        S = regular_act(RZ2)
+        relabelled = Act(RZ2, ("b:1", "b:z1", "b:z2"), S.action)
+        doc = {"nodes": ["a", "a:b"], "order": [["a", "a:b"]],
+               "acts": {"a": act_to_doc(relabelled), "a:b": act_to_doc(S)},
+               "arrows": {"a,a:b": [1, 1, 2]}}
+        p = tmp_path / "sys.json"
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p), "--op", "colimit", "--json"]) == 0
+        witness = json.loads(capsys.readouterr().out)["assertions"][1]["witness"]
+        assert witness["act"]["elements"] == ["0:b:1", "0:b:z2", "1:1"]
+        assert witness["injections"] == {"a": [0, 0, 1], "a:b": [2, 0, 1]}
 
     def test_act_with_monoid_path(self, tmp_path, monoid_file, capsys):
         doc = act_to_doc(quotient_act(RZ2, congruence_from_partition(

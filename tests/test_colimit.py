@@ -146,7 +146,7 @@ class TestColimit:
     def test_single_node(self):
         sys1 = make_system(("a",), [], {"a": S}, {})
         res = compute_colimit(sys1)
-        assert res.act.size == 3
+        assert res.act.elements == ("0:1", "0:z1", "0:z2")
         assert res.injections["a"].is_bijective
 
     def test_disjoint_probe_component(self):
@@ -155,14 +155,15 @@ class TestColimit:
         res = compute_colimit(make_system((0,), [], {0: u}, {}))
         assert res.act.size == 4
 
-    def test_colliding_labels_rejected(self):
-        # nodes 1 and "1" both label their classes "1:..."; the identity
-        # of node "1" is not in the arrow's image, so its class and the
-        # class of node 1's identity are both labelled "1:1"
+    def test_colliding_node_names_get_distinct_labels(self):
+        # nodes 1 and "1" have the same str(); labels are tagged by node
+        # position, so the identities of both nodes keep apart
         system = make_system((1, "1"), [(1, "1")], {1: S, "1": S},
                              {(1, "1"): LAM_Z1})
-        with pytest.raises(ValueError):
-            compute_colimit(system)
+        res = compute_colimit(system)
+        assert res.act.elements == ("0:1", "0:z2", "1:1")
+        for probe in (S, THETA, Q1):
+            assert verify_universality(system, res, probe)
 
 
 class TestCocones:

@@ -19,8 +19,6 @@ from actcovers import (
 from actcovers.jsonio import (
     act_from_doc,
     act_to_doc,
-    congruence_from_doc,
-    congruence_to_doc,
     dump_canonical,
     load_document,
     monoid_from_doc,
@@ -81,20 +79,6 @@ class TestActDocs:
     def test_default_labels(self):
         doc = {"monoid": monoid_to_doc(RZ2), "action": [[0, 0, 0]]}
         assert act_from_doc(doc).elements == ("a0",)
-
-
-class TestCongruenceDocs:
-    def test_roundtrip(self):
-        c2 = congruence_from_doc(congruence_to_doc(SIGMA1))
-        assert c2.classes == SIGMA1.classes
-
-    def test_partition_checked(self):
-        doc = {"monoid": monoid_to_doc(RZ2), "classes": [[0], [1, 2]]}
-        # {1},{z1,z2} is a valid right congruence so this loads
-        assert congruence_from_doc(doc).classes == ((0,), (1, 2))
-        bad = {"monoid": monoid_to_doc(RZ2), "classes": [[0, 1]]}
-        with pytest.raises(ValueError):
-            congruence_from_doc(bad)
 
 
 class TestSystemDocs:
