@@ -12,7 +12,6 @@ from .acts import (
     congruence_closure,
     congruence_from_partition,
     cyclic_iso_witness,
-    diagonal_congruence,
     disjoint_union,
     full_congruence,
     generating_set,

@@ -231,19 +231,16 @@ def _canonical(keys: Iterable) -> tuple[int, ...]:
 
 
 def _congruence(m: Monoid, class_of: tuple[int, ...]) -> RightCongruence:
-    """Trusted congruence from a canonical, right compatible class vector."""
-    classes: list[list[int]] = [[] for _ in range(max(class_of) + 1)]
+    """Trusted congruence from a canonical, right compatible class vector
+    (classes numbered in order of first member, as the dict lists them)."""
+    classes: dict[int, list[int]] = {}
     for x, c in enumerate(class_of):
-        classes[c].append(x)
-    return _trusted(RightCongruence, m, tuple(map(tuple, classes)), class_of)
+        classes.setdefault(c, []).append(x)
+    return _trusted(RightCongruence, m, tuple(map(tuple, classes.values())), class_of)
 
 
 def congruence_from_partition(m: Monoid, classes: Iterable[Iterable[int]]) -> RightCongruence:
     return RightCongruence(m, canonical_partition(classes))
-
-
-def diagonal_congruence(m: Monoid) -> RightCongruence:
-    return congruence_from_partition(m, [[i] for i in range(m.order)])
 
 
 def full_congruence(m: Monoid) -> RightCongruence:
@@ -566,27 +563,39 @@ def cyclic_iso_witness(m: Monoid, sigma: RightCongruence, tau: RightCongruence) 
 
 
 def all_right_congruences(m: Monoid) -> list[RightCongruence]:
-    """Every right congruence, from set partitions in canonical order.
+    """Every right congruence, as class vectors in lexicographic order.
 
-    Partitions are generated as restricted growth strings, so the
-    output order is deterministic; each string is the canonical class
-    vector of its partition.  Intended for monoids of desk size.
+    Backtracks over restricted growth strings, which are exactly the
+    canonical class vectors, so the output order is deterministic and
+    needs no sort.  Each compatibility check (x, y, x*u, y*u), with
+    x < y and x*u != y*u, runs as soon as the largest of its four
+    elements has a class, and a prefix is cut when it relates x and y
+    but not their products.  Checks whose products are x and y again
+    (u = 1 among them) always hold and are dropped.  Intended for
+    monoids of desk size.
     """
+    n = m.order
     t = m.table
-    return [_congruence(m, rgs) for rgs in _restricted_growth_strings(m.order)
-            if _compatibility_failure(t, rgs) is None]
-
-
-def _restricted_growth_strings(n: int):
+    checks: list[set] = [set() for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            for xu, yu in zip(t[x], t[y]):
+                pair = (min(xu, yu), max(xu, yu))
+                if xu != yu and pair != (x, y):
+                    checks[max(y, xu, yu)].add((x, y) + pair)
     rgs = [0] * n
+    found = []
 
     def rec(i: int, top: int):
         if i == n:
-            yield tuple(rgs)
+            found.append(_congruence(m, tuple(rgs)))
             return
         for v in range(top + 2):
             rgs[i] = v
-            yield from rec(i + 1, max(top, v))
+            if all(rgs[x] != rgs[y] or rgs[xu] == rgs[yu]
+                   for x, y, xu, yu in checks[i]):
+                rec(i + 1, max(top, v))
 
-    yield from rec(1, 0)
+    rec(1, 0)
+    return found
 

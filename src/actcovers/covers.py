@@ -9,9 +9,11 @@ in for a class of interest that is too big to quantify over):
 * g is a cover wrt F when it is a precover and every endomorphism f of
   P with g o f = g is bijective.
 
-The search routine enumerates every right congruence sigma of the
-monoid and keeps those whose cyclic quotient S/sigma is strongly flat
-and admits a coessential epimorphism onto the target.
+The search routine enumerates the right congruences sigma of the
+monoid (acts.all_right_congruences, a prefix-pruned search), drops
+those failing the cyclic strong-flatness criterion on sigma itself,
+and builds S/sigma only for the survivors, keeping those with a
+coessential epimorphism onto the target.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .acts import (
     subact_closure,
 )
 from .errors import MonoidTooLargeError, NotEpimorphismError
-from .flatness import is_strongly_flat
+from .flatness import _cyclic_strongly_flat
 from .monoid import Monoid
 
 SEARCH_ORDER_BOUND = 8
@@ -97,8 +99,11 @@ def search_sf_coessential_covers(
     coessentially epimorphic onto the target (a cyclic act).
 
     Returns (sigma, g) pairs in congruence enumeration order, g being
-    the first coessential epimorphism in hom order.  Bounded to small
-    monoids because every set partition is inspected.
+    the first coessential epimorphism in hom order.  Strong flatness is
+    decided on each congruence's class vector by the cyclic criterion,
+    and only the survivors get a quotient act and the hom and
+    coessentiality scans.  Bounded to small monoids because every right
+    congruence is enumerated.
     """
     if m.order > max_order:
         raise MonoidTooLargeError(m.order, max_order)
@@ -106,10 +111,9 @@ def search_sf_coessential_covers(
         raise ValueError("target must be cyclic")
     found = []
     for sigma in all_right_congruences(m):
-        q = quotient_act(m, sigma)
-        if not is_strongly_flat(q).strongly_flat:
+        if not _cyclic_strongly_flat(sigma):
             continue
-        for g in homs(q, target):
+        for g in homs(quotient_act(m, sigma), target):
             if g.is_epimorphism and is_coessential(g).verdict:
                 found.append((sigma, g))
                 break

@@ -10,14 +10,21 @@ condition (E):  whenever a*s = a*s' there are a'' and u with
 Both checks are exhaustive: equalities a*s = a'*s' are scanned in
 lexicographic order and the first tuple with no interpolant is the
 reported witness.
+
+For a cyclic act S/sigma the two conditions together reduce to one
+test on the congruence (Kilp, Knauer and Mikhalev, *Monoids, Acts and
+Categories*, ch. III): S/sigma is strongly flat exactly when every pair
+x sigma y has some u sigma 1 with u*x = u*y.  The cover search uses it
+as a verdict-only filter, with is_strongly_flat as its oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .acts import Act
+from .acts import Act, RightCongruence
 
 
 @dataclass(frozen=True)
@@ -97,3 +104,12 @@ def is_strongly_flat(a: Act) -> FlatnessReport:
     p_ok, p_wit = satisfies_condition_p(a)
     e_ok, e_wit = satisfies_condition_e(a)
     return FlatnessReport(a.elements, p_ok, e_ok, p_wit, e_wit)
+
+
+def _cyclic_strongly_flat(sigma: RightCongruence) -> bool:
+    """Whether S/sigma is strongly flat: every pair x sigma y needs some
+    u sigma 1 with u*x = u*y.  The class of 1 is the first class."""
+    t = sigma.monoid.table
+    rows = [t[u] for u in sigma.classes[0]]
+    return all(any(r[x] == r[y] for r in rows)
+               for c in sigma.classes for x, y in itertools.combinations(c, 2))

@@ -2,7 +2,10 @@
 
 Hom sets and congruence lists are cross-checked against raw brute-force
 enumerations (all functions / all set partitions), computed before the
-frozen literals below were written down.
+frozen literals below were written down.  The prefix-pruned congruence
+search is also checked against the whole-string scan it replaced:
+every restricted growth string, kept when the library's compatibility
+check passes.
 """
 
 import itertools
@@ -25,7 +28,6 @@ from actcovers import (
     congruence_closure,
     congruence_from_partition,
     cyclic_iso_witness,
-    diagonal_congruence,
     disjoint_union,
     enumerate_monoids,
     full_congruence,
@@ -45,6 +47,7 @@ from actcovers import (
     right_zero_adjoin_one,
     subact_closure,
 )
+from actcovers.acts import _compatibility_failure
 from actcovers.scenarios import left_kernel, qiao_rho, qiao_sigmas
 from test_acceptance import scenario_systems
 
@@ -91,6 +94,33 @@ def brute_right_congruences(m):
         ):
             out.append(tuple(sorted(tuple(sorted(b)) for b in p)))
     return sorted(out)
+
+
+def restricted_growth_strings(n):
+    """Every canonical class vector of length n, in lexicographic order."""
+    rgs = [0] * n
+
+    def rec(i, top):
+        if i == n:
+            yield tuple(rgs)
+            return
+        for v in range(top + 2):
+            rgs[i] = v
+            yield from rec(i + 1, max(top, v))
+
+    yield from rec(1, 0)
+
+
+def scan_right_congruences(m):
+    """Class vectors of every right congruence by the whole-string scan:
+    each restricted growth string, kept when it is right compatible."""
+    return [v for v in restricted_growth_strings(m.order)
+            if _compatibility_failure(m.table, v) is None]
+
+
+def classes_of(class_of):
+    return tuple(tuple(x for x, c in enumerate(class_of) if c == k)
+                 for k in range(max(class_of) + 1))
 
 
 class TestActValidation:
@@ -176,7 +206,8 @@ class TestRelations:
             congruence_closure(RZ2, [])
 
     def test_diagonal_and_full(self):
-        assert diagonal_congruence(RZ2).classes == ((0,), (1,), (2,))
+        diag = congruence_from_partition(RZ2, [[i] for i in range(RZ2.order)])
+        assert diag.classes == ((0,), (1,), (2,))
         assert full_congruence(RZ2).classes == ((0, 1, 2),)
 
 
@@ -192,6 +223,28 @@ class TestCongruenceEnumeration:
     def test_matches_partition_oracle(self, m, count):
         lib = sorted(c.classes for c in all_right_congruences(m))
         assert lib == brute_right_congruences(m)
+
+    @pytest.mark.parametrize("m,count", [
+        pytest.param(qiao_wei_truncated(4, 4), 3672, id="qiaowei(4,4)"),
+        pytest.param(qiao_wei_truncated(4, 5), 4586, id="qiaowei(4,5)"),
+    ])
+    def test_counts_beyond_the_scan(self, m, count):
+        assert len(all_right_congruences(m)) == count
+
+    @pytest.mark.parametrize("monoids", [
+        pytest.param([m for n in range(1, 5) for m in enumerate_monoids(n)],
+                     id="order<=4"),
+        pytest.param([right_zero_adjoin_one(k) for k in range(1, 9)],
+                     id="rightzero1-8"),
+        pytest.param([qiao_wei_truncated(n, cap) for n in range(1, 4)
+                      for cap in range(1, 5)], id="qiaowei<=(3,4)"),
+    ])
+    def test_search_matches_scan_oracle(self, monoids):
+        for m in monoids:
+            want = scan_right_congruences(m)
+            got = all_right_congruences(m)
+            assert [c.class_of for c in got] == want, m.elements
+            assert [c.classes for c in got] == [classes_of(v) for v in want]
 
     def test_rz2_exact_list(self):
         got = {c.classes for c in all_right_congruences(RZ2)}
@@ -352,7 +405,8 @@ class TestCyclicIsoWitness:
         # itself; without the generation requirement the witness would
         # wrongly certify theta = S/full vs S = S/diagonal.
         full = full_congruence(SEMILATTICE)
-        diag = diagonal_congruence(SEMILATTICE)
+        diag = congruence_from_partition(
+            SEMILATTICE, [[i] for i in range(SEMILATTICE.order)])
         pb = pullback_relation(SEMILATTICE, diag, 1)
         assert pb.pairs == full.relation().pairs  # the trap
         assert cyclic_iso_witness(SEMILATTICE, full, diag) is None
@@ -513,8 +567,9 @@ class TestTrustedPath:
                     m, m.submonoid_closure((0, m.index(f"x{i}^1")))))
                     for i in range(n + 1)]
                 rebuilt.append(public_congruence(m, qiao_rho(m)))
+                diag = congruence_from_partition(m, [[i] for i in range(m.order)])
                 rebuilt.append(public_congruence(
-                    m, pullback_relation(m, diagonal_congruence(m), x0)))
+                    m, pullback_relation(m, diag, x0)))
                 shared = sigmas + [relation_to_congruence(m, qiao_rho(m)),
                                    left_kernel(m, x0)]
                 for c, public in zip(shared, rebuilt, strict=True):

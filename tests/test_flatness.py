@@ -1,10 +1,12 @@
-"""Condition (P), condition (E), strong flatness reports.
+"""Condition (P), condition (E), strong flatness reports, and the
+cyclic criterion the cover search filters with.
 
 Free acts are finite disjoint unions of copies of the regular act;
 there is no separate constructor for them.
 """
 
 from actcovers import (
+    all_right_congruences,
     build_from_table,
     congruence_from_partition,
     disjoint_union,
@@ -20,6 +22,7 @@ from actcovers import (
     satisfies_condition_e,
     satisfies_condition_p,
 )
+from actcovers.flatness import _cyclic_strongly_flat
 
 RZ2 = right_zero_adjoin_one(2)
 SEMILATTICE = build_from_table(("1", "e"), [[0, 1], [1, 1]])
@@ -134,3 +137,28 @@ class TestDisjointUnions:
         assert not rep.strongly_flat
         # witness lands inside the theta component (index 3)
         assert rep.e_witness == (3, 1, 2)
+
+
+class TestCyclicCriterion:
+    # the act-level (P)/(E) scans on the built quotient are the oracle
+    MONOIDS = ([m for n in range(1, 5) for m in enumerate_monoids(n)]
+               + [right_zero_adjoin_one(k) for k in range(1, 6)]
+               + [qiao_wei_truncated(n, cap)
+                  for n, cap in ((1, 1), (2, 2), (2, 3), (3, 2), (2, 4))])
+
+    def test_matches_is_strongly_flat_on_every_congruence(self):
+        verdicts = []
+        for m in self.MONOIDS:
+            for cong in all_right_congruences(m):
+                fast = _cyclic_strongly_flat(cong)
+                assert fast == is_strongly_flat(quotient_act(m, cong)).strongly_flat, (
+                    m.elements, cong.classes)
+                verdicts.append(fast)
+        # both verdicts occur often, so neither constant answer would pass
+        assert (len(verdicts), sum(verdicts)) == (1503, 492)
+
+    def test_rz2_sigmas_flat_partition_not(self):
+        assert _cyclic_strongly_flat(sigma(RZ2, 1))
+        assert _cyclic_strongly_flat(sigma(RZ2, 2))
+        assert not _cyclic_strongly_flat(
+            congruence_from_partition(RZ2, ((0,), (1, 2))))

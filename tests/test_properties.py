@@ -1,5 +1,6 @@
-"""Property tests for the Kruml word monoid, its subset system, and
-colimits of directed systems.
+"""Property tests for the Kruml word monoid, its subset system,
+colimits of directed systems, and the congruence and cover searches
+against their oracles on generated small monoids.
 
 Hypothesis is a test-only dependency (the `test` extra); without it the
 module is skipped.  Runs are derandomized and keep no example database,
@@ -9,13 +10,18 @@ so every run checks the same examples.
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from actcovers import (  # noqa: E402
     Act,
     FinXSystem,
+    all_right_congruences,
+    build_from_table,
     compute_colimit,
+    enumerate_monoids,
     homs,
+    is_coessential,
+    is_strongly_flat,
     is_normal,
     kmul,
     knormalize,
@@ -26,8 +32,10 @@ from actcovers import (  # noqa: E402
     relation_from_subset,
     relation_to_congruence,
     right_zero_adjoin_one,
+    search_sf_coessential_covers,
     verify_universality,
 )
+from test_acts import scan_right_congruences  # noqa: E402
 from test_kruml import rightmost_normalize  # noqa: E402
 
 SETTINGS = settings(deadline=None, derandomize=True, database=None)
@@ -47,6 +55,54 @@ Q1 = quotient_act(RZ2, relation_to_congruence(RZ2, relation_from_subset(RZ2, (0,
 NODE_ACTS = [a for b in (S, Q1, THETA)
              for a in (b, Act(RZ2, tuple(f"b:{x}" for x in b.elements), b.action))]
 NAMES = (1, "1", "a", "a:b")
+SMALL_MONOIDS = [m for n in range(1, 5) for m in enumerate_monoids(n)]
+# transformation monoids above this order are rejected, so that the
+# whole-string scan stays cheap and the cover search stays within its
+# default order bound
+MAX_ORDER = 8
+
+
+def transformation_table(maps, points):
+    """Table of the monoid generated by the maps (composed left to
+    right), identity first, or None beyond MAX_ORDER elements."""
+    elems = [tuple(range(points))]
+    index = {elems[0]: 0}
+    for a in elems:
+        for g in maps:
+            c = tuple(g[x] for x in a)
+            if c not in index:
+                if len(elems) == MAX_ORDER:
+                    return None
+                index[c] = len(elems)
+                elems.append(c)
+    return [[index[tuple(b[x] for x in a)] for b in elems] for a in elems]
+
+
+@st.composite
+def small_monoids(draw):
+    if draw(st.booleans(), label="enumerated"):
+        return draw(st.sampled_from(SMALL_MONOIDS))
+    points = draw(st.integers(3, 4))
+    maps = draw(st.lists(st.tuples(*[st.integers(0, points - 1)] * points),
+                         min_size=2, max_size=3))
+    table = transformation_table(maps, points)
+    assume(table is not None)
+    return build_from_table(["1"] + [f"f{i}" for i in range(1, len(table))], table)
+
+
+def unfiltered_search(m, target):
+    """search_sf_coessential_covers without the cyclic filter: every
+    quotient is built and checked with is_strongly_flat."""
+    found = []
+    for sigma in all_right_congruences(m):
+        q = quotient_act(m, sigma)
+        if not is_strongly_flat(q).strongly_flat:
+            continue
+        for g in homs(q, target):
+            if g.is_epimorphism and is_coessential(g).verdict:
+                found.append((sigma, g))
+                break
+    return found
 
 
 @SETTINGS
@@ -109,3 +165,17 @@ def test_colimits_of_colliding_node_names_are_universal(data):
     assert len(set(result.act.elements)) == result.act.size
     for probe in (S, THETA, Q1):
         assert verify_universality(system, result, probe)
+
+
+@SETTINGS
+@given(small_monoids())
+def test_congruence_search_matches_scan_oracle(m):
+    got = all_right_congruences(m)
+    assert [c.class_of for c in got] == scan_right_congruences(m)
+
+
+@SETTINGS
+@given(small_monoids(), st.data())
+def test_cover_search_matches_unfiltered_reference(m, data):
+    target = quotient_act(m, data.draw(st.sampled_from(all_right_congruences(m))))
+    assert search_sf_coessential_covers(m, target) == unfiltered_search(m, target)
