@@ -10,9 +10,12 @@ which strictly decreases the index sum, so rewriting terminates; the
 only overlaps are confluent, so every word has a unique normal form:
 the words with nondecreasing indices, found in one insertion pass:
 prepending a_m to a normal word moves a_m right past each smaller
-letter, m dropping by one at each step.  Multiplication is concatenate
-then normalize.  Left multiplication is injective (cancellable); right
-multiplication is not, e.g. a0*a0 = a1*a0 and a2*a1 = a1*a1.
+letter, m dropping by one at each step.  Appending a_i to a normal word
+moves a_i left past each larger letter, and each of those letters drops
+by one: w*a_i is w's letters <= i, then i, then w's larger letters
+each minus one.  Multiplication is concatenate then normalize.  Left
+multiplication is injective (cancellable); right multiplication is
+not, e.g. a0*a0 = a1*a0 and a2*a1 = a1*a1.
 
 FinXSystem models the directed system indexed by finite subsets Y of
 an ordered label set X: each object is a copy of the monoid, and the
@@ -26,6 +29,7 @@ decided by pushing both into the union of their subsets.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,23 +38,29 @@ from .errors import NotSubsetError
 KWord = tuple  # tuple of int generator indices
 
 
-def _prepend(m: int, w: KWord) -> KWord:
-    """The normal form of a_m*w for a normal word w."""
+def _prepend(m: int, w: list) -> None:
+    """Turn the normal word w, a list, into the normal form of a_m*w."""
     pos = 0
     while pos < len(w) and m > w[pos]:
         m -= 1
         pos += 1
-    return w[:pos] + (m,) + w[pos:]
+    w.insert(pos, m)
+
+
+def _append(w: KWord, i: int) -> KWord:
+    """The normal form of w*a_i for a normal word w."""
+    p = bisect_right(w, i)
+    return w[:p] + (i,) + tuple([x - 1 for x in w[p:]])
 
 
 def knormalize(word: Sequence[int]) -> KWord:
     """Normal form via one insertion pass, right to left."""
-    if any(i < 0 for i in word):
-        raise ValueError("generator indices must be nonnegative")
-    w = ()
+    w = []
     for m in reversed(word):
-        w = _prepend(m, w)
-    return w
+        if m < 0:
+            raise ValueError("generator indices must be nonnegative")
+        _prepend(m, w)
+    return tuple(w)
 
 
 def knormalize_random(word: Sequence[int], rng: random.Random) -> KWord:
@@ -156,11 +166,16 @@ class FinXSystem:
         large = self._check_subset(large)
         if not set(small) <= set(large):
             raise NotSubsetError("first subset must be contained in the second")
-        w = knormalize(word)
+        return self._push(small, large, knormalize(word))
+
+    def _push(self, small: tuple, large: tuple, w: KWord) -> KWord:
+        """The transition, on checked ground-ordered subsets and a normal
+        word."""
+        w = list(w)
         for i, z in enumerate(large):
             if z not in small:
-                w = _prepend(i, w)
-        return w
+                _prepend(i, w)
+        return tuple(w)
 
     def colimit_equal(self, e1: ColimitElement, e2: ColimitElement) -> bool:
         """Equality in the colimit, decided at the union of the subsets.

@@ -100,6 +100,11 @@ class TestKrumlNf:
         assert main(["kruml-nf", "--", "-1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_letter_mid_word(self, capsys):
+        assert main(["kruml-nf", "--", "2", "-1", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: generator indices must be nonnegative\n")
+
 
 class TestCheck:
     def test_validate_monoid(self, monoid_file, capsys):

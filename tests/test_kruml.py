@@ -22,6 +22,7 @@ from actcovers import (
     normal_words,
     right_cancellation_counterexamples,
 )
+from actcovers.kruml import _append
 
 
 def rightmost_normalize(word):
@@ -52,6 +53,13 @@ class TestNormalize:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             knormalize((1, -1))
+
+    @pytest.mark.parametrize("word", [(-1, 2, 3), (1, -2, 3), (1, 2, -3), (-1,)])
+    def test_negative_letter_anywhere_rejected(self, word):
+        # the check runs inside the insertion loop, which reads the word
+        # right to left: first, middle and last letters all reach it
+        with pytest.raises(ValueError, match="^generator indices must be nonnegative$"):
+            knormalize(word)
 
     def test_output_is_normal(self):
         rng = random.Random(7)
@@ -113,6 +121,27 @@ class TestMultiplication:
 
     def test_counterexample_enumeration(self):
         assert right_cancellation_counterexamples(2) == [(0, 1, 0), (1, 2, 1)]
+
+
+class TestAppend:
+    # _append(w, i) is the normal form of w*a_i for a normal word w; its
+    # oracle is knormalize on the concatenation, on every input the kruml
+    # scenario feeds it
+    def test_matches_normalize_on_injectivity_inputs(self):
+        for w in normal_words(6, 8):
+            for i in range(9):
+                assert _append(w, i) == knormalize(w + (i,))
+
+    def test_matches_normalize_on_equalizer_inputs(self):
+        for w in normal_words(8, 8):
+            for i in (0, 1):
+                assert _append(w, i) == knormalize(w + (i,))
+
+    def test_frozen_examples(self):
+        assert _append((), 3) == (3,)
+        assert _append((0, 2, 5), 2) == (0, 2, 2, 4)
+        assert _append((1, 1), 0) == (0, 0, 0)
+        assert _append((0, 1), 4) == (0, 1, 4)
 
 
 class TestNormalWords:

@@ -35,6 +35,7 @@ from actcovers import (  # noqa: E402
     search_sf_coessential_covers,
     verify_universality,
 )
+from actcovers.kruml import _append  # noqa: E402
 from test_acts import scan_right_congruences  # noqa: E402
 from test_kruml import rightmost_normalize  # noqa: E402
 
@@ -112,6 +113,14 @@ def test_knormalize_is_the_rightmost_normal_form(w):
     assert nf == rightmost_normalize(w)
     assert is_normal(nf)
     assert knormalize(nf) == nf
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 20), max_size=40).map(sorted).map(tuple),
+       st.integers(0, 20))
+def test_append_is_the_normal_form_of_the_product(w, i):
+    # sorted tuples are exactly the normal words
+    assert _append(w, i) == knormalize(w + (i,)) == rightmost_normalize(w + (i,))
 
 
 @SETTINGS

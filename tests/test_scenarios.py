@@ -2,10 +2,19 @@
 
 import hashlib
 import json
+from itertools import combinations, permutations
 
 import pytest
 
-from actcovers import OrderTooLargeError, TooFewSamplesError
+from actcovers import (
+    FinXSystem,
+    OrderTooLargeError,
+    TooFewSamplesError,
+    kmul,
+    knormalize,
+    normal_words,
+)
+from actcovers import scenarios
 from actcovers.scenarios import (
     KRUML_SAMPLE_FLOOR,
     run_kruml,
@@ -13,6 +22,53 @@ from actcovers.scenarios import (
     run_qiao_wei,
     run_rightzero,
 )
+
+
+def _kruml_witness(phrase):
+    rep = run_kruml(0, KRUML_SAMPLE_FLOOR)
+    (a,) = [a for a in rep.assertions if phrase in a.desc]
+    return a.ok, a.witness
+
+
+# The loops run_kruml used before it worked on normal words, kept as the
+# oracles of its witnesses: each scans in the same order and returns its
+# first failure.
+
+def nested_path_witness(fs):
+    subsets = [c for r in range(5) for c in combinations(fs.ground, r)]
+    words4 = list(normal_words(4, 4))
+    for large in subsets:
+        for small in [s for s in subsets if set(s) <= set(large)]:
+            missing = [z for z in large if z not in small]
+            for w in words4:
+                canonical = fs.transition(small, large, w)
+                for order in permutations(missing):
+                    cur, word = small, knormalize(w)
+                    for z in order:
+                        nxt = cur + (z,)
+                        word = fs.transition(cur, nxt, word)
+                        cur = nxt
+                    if word != canonical:
+                        return (small, large, order, list(w))
+    return None
+
+
+def injectivity_witness(mul):
+    for w in normal_words(6, 8):
+        seen = {}
+        for i in range(9):
+            r = mul(w, (i,))
+            if r in seen:
+                return (list(w), seen[r], i)
+            seen[r] = i
+    return None
+
+
+def equalizer_witness(mul):
+    for w in normal_words(8, 8):
+        if mul(w, (0,)) == mul(w, (1,)):
+            return list(w)
+    return None
 
 
 class TestRightzero:
@@ -100,6 +156,75 @@ class TestKruml:
     def test_sample_floor(self):
         with pytest.raises(TooFewSamplesError):
             run_kruml(0, KRUML_SAMPLE_FLOOR - 1)
+
+
+class TestKrumlWitnessOrder:
+    """Break one step of run_kruml and compare the witness it reports with
+    the one its old loop, run over the same broken step, finds first."""
+
+    @pytest.mark.parametrize("cur,z,bad_word", [
+        (("x",), "z", None),
+        (("y", "t"), "x", None),
+        ((), "t", (1, 2)),
+        (("x", "y", "z"), "t", (0, 0, 4)),
+        (("z",), "y", (3,)),
+    ])
+    def test_path_independence(self, monkeypatch, cur, z, bad_word):
+        # one single-label step, from cur by z, gains a letter: for every
+        # word, or only for bad_word
+        push = FinXSystem._push
+
+        def broken(self, small, large, w):
+            out = push(self, small, large, w)
+            if (small == cur and set(large) == set(cur) | {z}
+                    and bad_word in (None, w)):
+                return out + (0,)
+            return out
+
+        monkeypatch.setattr(FinXSystem, "_push", broken)
+        want = nested_path_witness(FinXSystem(("x", "y", "z", "t")))
+        assert want is not None
+        assert _kruml_witness("path independent") == (False, want)
+
+    @staticmethod
+    def _perturb_append(monkeypatch, perturb):
+        # run_kruml gets the perturbed _append; the oracle gets the same
+        # perturbation of kmul
+        real = scenarios._append
+        append = perturb(lambda w, v: real(w, v[0]))
+        monkeypatch.setattr(scenarios, "_append", lambda w, k: append(w, (k,)))
+        return perturb(kmul)
+
+    @pytest.mark.parametrize("length,head,i,j", [(4, (2,), 7, 5), (0, (), 3, 1),
+                                                 (6, (8,), 8, 0), (2, (1,), 1, 0)])
+    def test_injectivity(self, monkeypatch, length, head, i, j):
+        # appending a_i to the words of this length and first letter
+        # gives the product with a_j instead
+        def perturb(mul):
+            def product(w, v):
+                if v == (i,) and len(w) == length and w[:1] == head:
+                    v = (j,)
+                return mul(w, v)
+            return product
+
+        want = injectivity_witness(self._perturb_append(monkeypatch, perturb))
+        assert want is not None
+        assert _kruml_witness("appending distinct letters") == (False, want)
+
+    @pytest.mark.parametrize("length,tail", [(5, (3,)), (8, (8,)), (0, ()), (1, (0,))])
+    def test_equalizer(self, monkeypatch, length, tail):
+        # a_1 appended to the words of this length and last letter gives
+        # the product with a_0
+        def perturb(mul):
+            def product(w, v):
+                if v == (1,) and len(w) == length and w[-1:] == tail:
+                    v = (0,)
+                return mul(w, v)
+            return product
+
+        want = equalizer_witness(self._perturb_append(monkeypatch, perturb))
+        assert want is not None
+        assert _kruml_witness("equalizes the letter maps") == (False, want)
 
 
 class TestLemma:
