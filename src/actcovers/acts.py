@@ -290,14 +290,11 @@ def is_right_congruence(m: Monoid, rel: Relation):
             for u in range(n):
                 if holds(t, u) and not holds(s, u):
                     return False, ("transitivity", (s, t, u))
-    t_ = m.table
-    for s in range(n):
-        for t in range(n):
-            if not holds(s, t):
-                continue
-            for u in range(n):
-                if not holds(t_[s][u], t_[t][u]):
-                    return False, ("compatibility", (s, t, u))
+    # with r < s related, (s, t, u) failing makes (r, s, u) or (r, t, u)
+    # fail, so the class scan finds the lexicographic witness
+    bad = _compatibility_failure(m.table, _class_vector(m, rel))
+    if bad is not None:
+        return False, ("compatibility", bad)
     return True, None
 
 
@@ -309,11 +306,14 @@ def relation_to_congruence(m: Monoid, rel: Relation) -> RightCongruence:
 
 
 def _checked_congruence(m: Monoid, rel: Relation) -> RightCongruence:
-    """Trusted congruence of a relation that passed is_right_congruence,
-    each element keyed by its least related element."""
+    """Trusted congruence of a relation that passed is_right_congruence."""
+    return _congruence(m, _class_vector(m, rel))
+
+
+def _class_vector(m: Monoid, rel: Relation) -> tuple[int, ...]:
+    """Class vector of an equivalence relation, keyed by least related element."""
     n = m.order
-    return _congruence(m, _canonical(
-        next(t for t in range(n) if rel.holds(s, t)) for s in range(n)))
+    return _canonical(next(t for t in range(n) if rel.holds(s, t)) for s in range(n))
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -324,13 +324,10 @@ def _find(parent: list[int], x: int) -> int:
 
 
 def _union(parent: list[int], a: int, b: int) -> bool:
-    """Merge the classes of a and b under the smaller root; False when
-    they were already one class."""
+    """Merge the classes of a and b; False when already one class."""
     ra, rb = _find(parent, a), _find(parent, b)
     if ra == rb:
         return False
-    if rb < ra:
-        ra, rb = rb, ra
     parent[rb] = ra
     return True
 

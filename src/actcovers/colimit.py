@@ -1,11 +1,11 @@
 """Directed colimits of finite systems of acts.
 
 A directed system is a finite poset of nodes, an act per node, and a
-coherent family of act maps along the order.  The colimit is the
-quotient of the disjoint union of the node acts (acts.disjoint_union,
-tagged by node position) under union-find: x of node i is merged with
-arrow(x) of node j for every arrow i -> j.  Universality is then
-checked directly against probe acts by enumerating every cocone.
+coherent family of act maps along the order.  A finite directed order
+has a greatest node, the top: the colimit is the quotient of the
+disjoint union of the node acts (acts.disjoint_union, tagged by node
+position) by equal image in the top, and a cocone is fixed by its map
+out of the top.  Universality is checked by enumerating every cocone.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .acts import (DEFAULT_BUDGET, Act, ActMap, _canonical, _find, _trusted, _union,
-                   disjoint_union, homs, identity_map)
-from .errors import BudgetExceededError, IncoherentArrowsError, NotDirectedError
+from .acts import (DEFAULT_BUDGET, Act, ActMap, _canonical, _trusted, disjoint_union,
+                   homs, identity_map)
+from .errors import IncoherentArrowsError, NotDirectedError
 
 
 @dataclass(frozen=True)
@@ -105,27 +105,30 @@ class ColimitResult:
     injections: Dict[object, ActMap]
 
 
+def _top(system: DirectedSystem):
+    """The node every node lies below."""
+    for t in system.nodes:
+        if all(system.leq(i, t) for i in system.nodes):
+            return t
+    raise ValueError("system has no top node")
+
+
 def compute_colimit(system: DirectedSystem) -> ColimitResult:
     """The quotient of the disjoint union of the node acts by the arrows.
 
     The union tags each node's elements with the node's position in
-    system.nodes, so labels never depend on node names.  Union-find
-    merges x of node i with arrow(x) of node j for every arrow i -> j.
-    Each class is labelled by its least member and acts through it, and
-    classes are ordered by it; the injections are slices of the class
-    vector and commute with the arrows.
+    system.nodes, so labels never depend on node names.  x of node i
+    falls in the class of arrow(i, top)(x), since every arrow ends below
+    the top.  Each class is labelled by its least member and acts
+    through it, and classes are ordered by it; the injections are
+    slices of the class vector and commute with the arrows.
     """
+    top = _top(system)
     sizes = [system.acts[i].size for i in system.nodes]
     union = disjoint_union([system.acts[i] for i in system.nodes])
     start = dict(zip(system.nodes, itertools.accumulate(sizes, initial=0)))
-    parent = list(range(union.size))
-    for (i, j), f in system.arrows.items():
-        for x, y in enumerate(f.image):
-            _union(parent, start[i] + x, start[j] + y)
-    # _union keeps the smaller root, so roots are least members
-    roots = [_find(parent, a) for a in range(union.size)]
-    reps = [a for a, r in enumerate(roots) if a == r]
-    cls = _canonical(roots)
+    cls = _canonical(y for i in system.nodes for y in system.arrow(i, top).image)
+    reps = [cls.index(c) for c in range(max(cls) + 1)]
     act = _trusted(Act, union.monoid, tuple(union.elements[r] for r in reps),
                    tuple(tuple([cls[y] for y in union.action[r]]) for r in reps))
     injections = {
@@ -139,16 +142,13 @@ def compute_colimit(system: DirectedSystem) -> ColimitResult:
 
 
 def cocones(system: DirectedSystem, probe: Act, budget: int = DEFAULT_BUDGET):
-    """All families (f_i: acts[i] -> probe) commuting with the arrows."""
-    per_node = [homs(system.acts[i], probe, budget) for i in system.nodes]
-    total = 1
-    for h in per_node:
-        total *= max(len(h), 1)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
+    """All families (f_i: acts[i] -> probe) commuting with the arrows.
+    f_i is f_top after arrow(i, top), so they come in the hom order of
+    the top."""
+    top = _top(system)
     out = []
-    for combo in itertools.product(*per_node):
-        family = dict(zip(system.nodes, combo))
+    for h in homs(system.acts[top], probe, budget):
+        family = {i: h.after(system.arrow(i, top)) for i in system.nodes}
         if all(
             family[j].after(system.arrow(i, j)) == family[i]
             for i, j in system.order

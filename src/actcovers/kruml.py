@@ -182,9 +182,11 @@ class FinXSystem:
 
         Left multiplications are injective, so two representatives are
         identified iff they agree after transitioning into any common
-        upper bound; the union is the least one.
+        upper bound; the union is the least one.  Elements may be built
+        unchecked, so their subsets and words are checked here, once.
         """
-        union = tuple(sorted(set(e1.subset) | set(e2.subset), key=self._rank.get))
-        w1 = self.transition(e1.subset, union, e1.word)
-        w2 = self.transition(e2.subset, union, e2.word)
+        s1, s2 = self._check_subset(e1.subset), self._check_subset(e2.subset)
+        union = tuple(z for z in self.ground if z in s1 or z in s2)
+        w1 = self._push(s1, union, knormalize(e1.word))
+        w2 = self._push(s2, union, knormalize(e2.word))
         return w1 == w2

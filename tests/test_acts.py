@@ -211,6 +211,59 @@ class TestRelations:
         assert full_congruence(RZ2).classes == ((0, 1, 2),)
 
 
+def scan_compatibility_witness(m, rel):
+    """The lexicographic scan is_right_congruence ran before it used the
+    class scan: the first (s, t, u) with s~t but not s*u ~ t*u, or None."""
+    t_ = m.table
+    for s in range(m.order):
+        for t in range(m.order):
+            if rel.holds(s, t):
+                for u in range(m.order):
+                    if not rel.holds(t_[s][u], t_[t][u]):
+                        return s, t, u
+    return None
+
+
+def random_equivalence(m, rng):
+    """Relation of a random restricted growth string with at most a
+    random number of classes."""
+    cap = rng.randint(1, m.order)
+    rgs = [0]
+    for _ in range(1, m.order):
+        rgs.append(rng.randrange(min(cap, max(rgs) + 2)))
+    n = range(m.order)
+    return Relation(m, frozenset((s, t) for s in n for t in n if rgs[s] == rgs[t]))
+
+
+class TestCompatibilityWitness:
+    MONOIDS = ([m for n in range(1, 5) for m in enumerate_monoids(n)]
+               + [right_zero_adjoin_one(k) for k in range(1, 6)]
+               + [qiao_wei_truncated(a, b) for a in range(1, 4) for b in range(1, 5)])
+
+    @staticmethod
+    def relations(m, rng):
+        for _ in range(40):
+            yield random_equivalence(m, rng)
+        for r in range(m.order):
+            for rest in itertools.combinations(range(1, m.order), r):
+                yield relation_from_subset(m, (0,) + rest)
+
+    def test_class_scan_gives_the_lexicographic_witness(self):
+        rng = random.Random(9)
+        tried = failing = 0
+        for m in self.MONOIDS:
+            for rel in self.relations(m, rng):
+                ok, why = is_right_congruence(m, rel)
+                if why is not None and why[0] != "compatibility":
+                    continue  # not an equivalence relation
+                want = scan_compatibility_witness(m, rel)
+                assert (ok, why) == ((True, None) if want is None
+                                     else (False, ("compatibility", want)))
+                tried += 1
+                failing += want is not None
+        assert tried > 9000 and failing > 3000
+
+
 class TestCongruenceEnumeration:
     # frozen counts from the independent partition oracle
     FROZEN = [(RZ2, 5), (RZ3, 15), (Q23, 27), (qiao_wei_truncated(1, 2), 6)]

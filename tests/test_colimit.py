@@ -1,19 +1,32 @@
-"""Directed systems, their validation, colimits, and universality."""
+"""Directed systems, their validation, colimits, and universality.
+
+compute_colimit and cocones decide everything at the top node of the
+system.  The general constructions they replaced are kept here as
+oracles: the quotient of the disjoint union by union-find over every
+arrow, and the product of every node's hom set filtered by the arrows.
+"""
+
+import itertools
+import random
 
 import pytest
 
 from actcovers import (
+    Act,
     ActMap,
     BudgetExceededError,
     IncoherentArrowsError,
     NotDirectedError,
+    all_right_congruences,
     are_isomorphic,
     cocones,
     compute_colimit,
     disjoint_union,
+    homs,
     make_system,
     one_element_act,
     projection_to_one,
+    qiao_wei_truncated,
     quotient_act,
     quotient_map,
     regular_act,
@@ -22,6 +35,7 @@ from actcovers import (
     right_zero_adjoin_one,
     verify_universality,
 )
+from actcovers.colimit import ColimitResult, DirectedSystem
 
 RZ2 = right_zero_adjoin_one(2)
 S = regular_act(RZ2)
@@ -31,6 +45,50 @@ Q1 = quotient_act(RZ2, SIGMA1)
 
 LAM_Z1 = ActMap(S, S, (1, 1, 2))  # left multiplication by z1
 LAM_Z2 = ActMap(S, S, (2, 1, 2))
+
+
+def union_find_colimit(system):
+    """The quotient of the disjoint union by union-find over every
+    arrow, merging under the smaller root so that roots are least
+    members."""
+    sizes = [system.acts[i].size for i in system.nodes]
+    union = disjoint_union([system.acts[i] for i in system.nodes])
+    start = dict(zip(system.nodes, itertools.accumulate(sizes, initial=0)))
+    parent = list(range(union.size))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for (i, j), f in system.arrows.items():
+        for x, y in enumerate(f.image):
+            ra, rb = sorted((find(start[i] + x), find(start[j] + y)))
+            parent[rb] = ra
+    roots = [find(a) for a in range(union.size)]
+    reps = [a for a, r in enumerate(roots) if a == r]
+    cls = [reps.index(r) for r in roots]
+    act = Act(union.monoid, tuple(union.elements[r] for r in reps),
+              tuple(tuple(cls[y] for y in union.action[r]) for r in reps))
+    return ColimitResult(act, {
+        i: ActMap(system.acts[i], act, tuple(cls[start[i]:start[i] + n]))
+        for i, n in zip(system.nodes, sizes)
+    })
+
+
+def product_cocones(system, probe):
+    """Every family of node maps to the probe, from the product of the
+    node hom sets, kept when it commutes with the arrows."""
+    out = []
+    for combo in itertools.product(*(homs(system.acts[i], probe) for i in system.nodes)):
+        family = dict(zip(system.nodes, combo))
+        if all(family[j].after(system.arrow(i, j)) == family[i] for i, j in system.order):
+            out.append(family)
+    return out
+
+
+def family_images(families, nodes):
+    return sorted(tuple(f[i].image for i in nodes) for f in families)
 
 
 def chain_system():
@@ -61,6 +119,94 @@ def fan_system():
         {0: S, 1: S, 2: S},
         {(0, 2): LAM_Z1, (1, 2): LAM_Z2},
     )
+
+
+def node_acts(m):
+    """The regular act, theta and every cyclic quotient of m."""
+    return [regular_act(m), one_element_act(m)] + [
+        quotient_act(m, c) for c in all_right_congruences(m)[1:-1]]
+
+
+def random_system(rng, m, shape):
+    """A chain of 1-4 nodes, a fan of 1-3 nodes into a sink, or a
+    diamond b < l, r < t, with random node acts and arrows and the node
+    names listed in a random order."""
+    pool = node_acts(m)
+    names = rng.sample(("p", "q", "r", "s"), 4)
+    acts, arrows = {}, {}
+    if shape == "chain":
+        names = names[:rng.randint(1, 4)]
+        acts[names[0]] = rng.choice(pool)
+        for k, (i, j) in enumerate(zip(names, names[1:])):
+            acts[j] = rng.choice([a for a in pool if homs(acts[i], a)])
+            step = rng.choice(homs(acts[i], acts[j]))
+            arrows.update({(h, j): step.after(arrows[(h, i)]) for h in names[:k]})
+            arrows[(i, j)] = step
+    elif shape == "fan":
+        names = names[:rng.randint(2, 4)]
+        sink = acts[names[-1]] = rng.choice(pool)
+        for i in names[:-1]:
+            acts[i] = rng.choice([a for a in pool if homs(a, sink)])
+            arrows[(i, names[-1])] = rng.choice(homs(acts[i], sink))
+    else:
+        b, l, r, t = names
+        acts[t] = rng.choice(pool)
+        for i in (l, r):
+            acts[i] = rng.choice([a for a in pool if homs(a, acts[t])])
+            arrows[(i, t)] = rng.choice(homs(acts[i], acts[t]))
+        acts[b], arrows[(b, l)], arrows[(b, r)] = rng.choice([
+            (a, f, g) for a in pool for f in homs(a, acts[l]) for g in homs(a, acts[r])
+            if arrows[(l, t)].after(f) == arrows[(r, t)].after(g)])
+        arrows[(b, t)] = arrows[(l, t)].after(arrows[(b, l)])
+    return make_system(rng.sample(names, len(names)), list(arrows), acts, arrows)
+
+
+MONOIDS = [right_zero_adjoin_one(2), right_zero_adjoin_one(3), qiao_wei_truncated(1, 2)]
+
+
+class TestTopNodeAgainstOracles:
+    @pytest.mark.parametrize("m", MONOIDS, ids=["rz2", "rz3", "qw12"])
+    @pytest.mark.parametrize("shape", ["chain", "fan", "diamond"])
+    def test_colimit_and_cocones(self, m, shape):
+        rng = random.Random(f"{shape}-{m.order}")
+        s, theta = regular_act(m), one_element_act(m)
+        probes = [s, theta] + node_acts(m)[2:] + [disjoint_union([s, theta])]
+        for _ in range(25):
+            system = random_system(rng, m, shape)
+            got, want = compute_colimit(system), union_find_colimit(system)
+            assert got == want
+            assert list(got.injections) == list(want.injections)
+            for probe in probes:
+                assert (family_images(cocones(system, probe), system.nodes)
+                        == family_images(product_cocones(system, probe), system.nodes))
+
+
+class TestSystemsWithoutMakeSystem:
+    """DirectedSystem built directly, without validate_system."""
+
+    def test_no_top_node(self):
+        system = DirectedSystem((0, 1), frozenset(), {0: S, 1: S}, {})
+        with pytest.raises(ValueError, match="system has no top node"):
+            compute_colimit(system)
+        with pytest.raises(ValueError, match="system has no top node"):
+            cocones(system, S)
+
+    def test_incoherent_arrows_under_a_top(self):
+        system = DirectedSystem(
+            (0, 1, 2), frozenset([(0, 1), (1, 2), (0, 2)]), {0: S, 1: S, 2: S},
+            {(0, 1): LAM_Z1, (1, 2): LAM_Z1, (0, 2): LAM_Z2})
+        for probe in (S, THETA, Q1, disjoint_union([S, THETA])):
+            assert (family_images(cocones(system, probe), system.nodes)
+                    == family_images(product_cocones(system, probe), system.nodes))
+        # the classes follow arrow(0, 2), which the other path disagrees with
+        with pytest.raises(AssertionError, match="fail to commute"):
+            compute_colimit(system)
+
+    def test_top_listed_first(self):
+        system = DirectedSystem(
+            (2, 0, 1), frozenset([(0, 1), (1, 2), (0, 2)]), {0: S, 1: S, 2: S},
+            {(0, 1): LAM_Z1, (1, 2): LAM_Z1, (0, 2): LAM_Z1})
+        assert compute_colimit(system) == union_find_colimit(system)
 
 
 class TestValidation:

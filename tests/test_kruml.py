@@ -232,6 +232,32 @@ class TestFinXSystem:
         e2 = fs.element(("x", "y"), fs.transition(("x",), ("x", "y"), (0,)))
         assert fs.colimit_equal(e1, e2)
 
+    def test_colimit_equal_unknown_label(self):
+        fs = FinXSystem(("x", "y", "z"))
+        with pytest.raises(ValueError, match="label 'q' not in the ground set"):
+            fs.colimit_equal(ColimitElement(("q",), ()), ColimitElement(("x",), ()))
+        with pytest.raises(ValueError, match="subset labels must be distinct"):
+            fs.colimit_equal(ColimitElement(("x",), ()), ColimitElement(("y", "y"), ()))
+
+    def test_colimit_equal_on_hand_built_elements(self):
+        # unsorted subsets and non-normal words get the verdict of the
+        # decision through the public transition, which checks both
+        fs = self.FS
+
+        def through_transition(e1, e2):
+            union = tuple(sorted(set(e1.subset) | set(e2.subset), key=fs.ground.index))
+            return (fs.transition(e1.subset, union, e1.word)
+                    == fs.transition(e2.subset, union, e2.word))
+
+        subsets = [p for r in range(3) for c in itertools.combinations(fs.ground, r)
+                   for p in itertools.permutations(c)]
+        words = ((), (0,), (1, 0), (2, 1), (0, 0), (3, 0, 1), (1, 1, 0))
+        elements = [ColimitElement(y, w) for y in subsets for w in words]
+        verdicts = [fs.colimit_equal(e1, e2) == through_transition(e1, e2)
+                    for e1 in elements for e2 in elements]
+        assert all(verdicts)
+        assert sum(fs.colimit_equal(e1, e2) for e1 in elements for e2 in elements) > len(elements)
+
     def test_element_sorts_subset_and_normalizes(self):
         e = self.FS.element(("y", "x"), (1, 0))
         assert e == ColimitElement(("x", "y"), (0, 0))

@@ -17,6 +17,7 @@ from actcovers import (  # noqa: E402
     FinXSystem,
     all_right_congruences,
     build_from_table,
+    cocones,
     compute_colimit,
     enumerate_monoids,
     homs,
@@ -37,6 +38,7 @@ from actcovers import (  # noqa: E402
 )
 from actcovers.kruml import _append  # noqa: E402
 from test_acts import scan_right_congruences  # noqa: E402
+from test_colimit import family_images, product_cocones, union_find_colimit  # noqa: E402
 from test_kruml import rightmost_normalize  # noqa: E402
 
 SETTINGS = settings(deadline=None, derandomize=True, database=None)
@@ -154,26 +156,44 @@ def test_transition_path_independent(flags, rng, w):
 @SETTINGS
 @given(st.data())
 def test_colimits_of_colliding_node_names_are_universal(data):
-    # a chain n0 < n1 < ... or a fan of the other nodes into the last one
-    names = data.draw(st.permutations(NAMES))[:data.draw(st.integers(1, len(NAMES)))]
+    # a chain n0 < n1 < ..., a fan of the other nodes into the last one,
+    # or a diamond n0 < n1, n2 < n3; nodes are listed in a drawn order,
+    # so the top is not always last
+    shape = data.draw(st.sampled_from(("chain", "fan", "diamond")), label="shape")
+    names = data.draw(st.permutations(NAMES))
+    if shape != "diamond":
+        names = names[:data.draw(st.integers(1, len(NAMES)))]
     acts, arrows = {}, {}
-    if data.draw(st.booleans(), label="fan"):
+    if shape == "fan":
         sink = acts[names[-1]] = data.draw(st.sampled_from(NODE_ACTS))
         for i in names[:-1]:
             acts[i] = data.draw(st.sampled_from([a for a in NODE_ACTS if homs(a, sink)]))
             arrows[(i, names[-1])] = data.draw(st.sampled_from(homs(acts[i], sink)))
-    else:
+    elif shape == "chain":
         acts[names[0]] = data.draw(st.sampled_from(NODE_ACTS))
         for k, (i, j) in enumerate(zip(names, names[1:])):
             acts[j] = data.draw(st.sampled_from([a for a in NODE_ACTS if homs(acts[i], a)]))
             step = data.draw(st.sampled_from(homs(acts[i], acts[j])))
             arrows.update({(h, j): step.after(arrows[(h, i)]) for h in names[:k]})
             arrows[(i, j)] = step
-    system = make_system(names, list(arrows), acts, arrows)
+    else:
+        b, l, r, t = names
+        acts[t] = data.draw(st.sampled_from(NODE_ACTS))
+        for i in (l, r):
+            acts[i] = data.draw(st.sampled_from([a for a in NODE_ACTS if homs(a, acts[t])]))
+            arrows[(i, t)] = data.draw(st.sampled_from(homs(acts[i], acts[t])))
+        acts[b], arrows[(b, l)], arrows[(b, r)] = data.draw(st.sampled_from([
+            (a, f, g) for a in NODE_ACTS for f in homs(a, acts[l]) for g in homs(a, acts[r])
+            if arrows[(l, t)].after(f) == arrows[(r, t)].after(g)]))
+        arrows[(b, t)] = arrows[(l, t)].after(arrows[(b, l)])
+    system = make_system(data.draw(st.permutations(names)), list(arrows), acts, arrows)
     result = compute_colimit(system)
+    assert result == union_find_colimit(system)
     assert len(set(result.act.elements)) == result.act.size
     for probe in (S, THETA, Q1):
         assert verify_universality(system, result, probe)
+        assert (family_images(cocones(system, probe), system.nodes)
+                == family_images(product_cocones(system, probe), system.nodes))
 
 
 @SETTINGS
