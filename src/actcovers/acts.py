@@ -454,14 +454,19 @@ def subact_closure(a: Act, seed: Iterable[int]) -> tuple[int, ...]:
 
 
 def generating_set(a: Act) -> tuple[int, ...]:
-    """Small generating set, found by greedy removal in index order."""
+    """Small generating set, found by greedy removal in index order.
+
+    The subact generated by a set is the union of the orbits g*S of its
+    members, so x may be dropped exactly when it lies in the orbit of
+    another element still kept.
+    """
+    orbits = [set(row) for row in a.action]
     gens = list(range(a.size))
     for x in range(a.size):
         if len(gens) == 1:
             break
-        rest = [g for g in gens if g != x]
-        if x in gens and len(subact_closure(a, rest)) == a.size:
-            gens = rest
+        if x in gens and any(x in orbits[g] for g in gens if g != x):
+            gens.remove(x)
     return tuple(gens)
 
 

@@ -7,9 +7,18 @@ condition (P):  whenever a*s = a'*s' there are a'' and u, v with
 condition (E):  whenever a*s = a*s' there are a'' and u with
                 a = a''*u  and  u*s = u*s'.
 
-Both checks are exhaustive: equalities a*s = a'*s' are scanned in
-lexicographic order and the first tuple with no interpolant is the
-reported witness.
+Interpolants need only come from generators.  If (a'', u, v) is an
+interpolant and a'' = g*r with g in generating_set(A), then (g, r*u,
+r*v) is one too, since (r*u)*s = r*(u*s) = r*(v*s') = (r*v)*s'; the
+same holds for (E).  So both checks read only the preimage lists
+{u : g*u = a} of the generators g.
+
+Both checks are exhaustive and keep the lexicographic witness: they
+scan a, a' and s in order and decide all s' at once with one bitmask
+over S, the s' with a*s = a'*s' and no interpolant; its lowest set bit
+is the least failing s'.  For (P) a pair (u, v) of preimages of a and
+a' under one generator covers the s' with v*s' = u*s; for (E) a
+preimage u of a under any generator covers the s' with u*s' = u*s.
 
 For a cyclic act S/sigma the two conditions together reduce to one
 test on the congruence (Kilp, Knauer and Mikhalev, *Monoids, Acts and
@@ -24,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .acts import Act, RightCongruence
+from .acts import Act, RightCongruence, generating_set
 
 
 @dataclass(frozen=True)
@@ -40,64 +49,77 @@ class FlatnessReport:
         return self.condition_p and self.condition_e
 
 
+def _value_masks(rows, size: int) -> list[int]:
+    """masks[w]: the bitmask of the positions i with row[i] = w for some
+    row of rows."""
+    masks = [0] * size
+    for row in rows:
+        for i, w in enumerate(row):
+            masks[w] |= 1 << i
+    return masks
+
+
+def _generator_preimages(a: Act) -> list[list[list[int]]]:
+    """pre[k][x]: the u with g*u = x, in increasing order, for the k-th
+    g of generating_set(a)."""
+    out = []
+    for g in generating_set(a):
+        pre = [[] for _ in range(a.size)]
+        for u, x in enumerate(a.action[g]):
+            pre[x].append(u)
+        out.append(pre)
+    return out
+
+
 def satisfies_condition_p(a: Act):
     """(verdict, witness); witness is the least (a, a', s, s') with
     a*s = a'*s' admitting no interpolant (a'', u, v)."""
     nx, ns = a.size, a.monoid.order
-    act = a.action
+    act, t = a.action, a.monoid.table
+    pres = _generator_preimages(a)
+    where = [_value_masks((row,), nx) for row in act]
+    # reach[y][k][w]: the s' with v*s' = w for some v in pre[k][y]
+    reach = [[_value_masks([t[v] for v in pre[y]], ns) for pre in pres]
+             for y in range(nx)]
     for x in range(nx):
+        ax = act[x]
+        # hits[s]: the (k, u*s) over the u in pre[k][x]
+        hits = [{(k, t[u][s]) for k, pre in enumerate(pres) for u in pre[x]}
+                for s in range(ns)]
         for y in range(nx):
+            wy, ry = where[y], reach[y]
             for s in range(ns):
-                xs = act[x][s]
-                for s2 in range(ns):
-                    if xs != act[y][s2]:
-                        continue
-                    if not _p_interpolant(a, x, y, s, s2):
-                        return False, (x, y, s, s2)
+                need = wy[ax[s]]
+                if not need:
+                    continue
+                covered = 0
+                for k, w in hits[s]:
+                    covered |= ry[k][w]
+                bad = need & ~covered
+                if bad:
+                    return False, (x, y, s, (bad & -bad).bit_length() - 1)
     return True, None
-
-
-def _p_interpolant(a: Act, x: int, y: int, s: int, s2: int) -> bool:
-    nx, ns = a.size, a.monoid.order
-    act = a.action
-    t = a.monoid.table
-    for z in range(nx):
-        row = act[z]
-        for u in range(ns):
-            if row[u] != x:
-                continue
-            for v in range(ns):
-                if row[v] == y and t[u][s] == t[v][s2]:
-                    return True
-    return False
 
 
 def satisfies_condition_e(a: Act):
     """(verdict, witness); witness is the least (a, s, s') with
     a*s = a*s' admitting no interpolant (a'', u)."""
     nx, ns = a.size, a.monoid.order
-    act = a.action
+    act, t = a.action, a.monoid.table
+    pres = _generator_preimages(a)
+    tmask = [_value_masks((row,), ns) for row in t]
     for x in range(nx):
         row = act[x]
+        where = _value_masks((row,), nx)
+        us = {u for pre in pres for u in pre[x]}
         for s in range(ns):
-            for s2 in range(ns):
-                if row[s] != row[s2]:
-                    continue
-                if not _e_interpolant(a, x, s, s2):
-                    return False, (x, s, s2)
+            covered = 0
+            for u in us:
+                covered |= tmask[u][t[u][s]]
+            bad = where[row[s]] & ~covered
+            if bad:
+                return False, (x, s, (bad & -bad).bit_length() - 1)
     return True, None
-
-
-def _e_interpolant(a: Act, x: int, s: int, s2: int) -> bool:
-    nx, ns = a.size, a.monoid.order
-    act = a.action
-    t = a.monoid.table
-    for z in range(nx):
-        row = act[z]
-        for u in range(ns):
-            if row[u] == x and t[u][s] == t[u][s2]:
-                return True
-    return False
 
 
 def is_strongly_flat(a: Act) -> FlatnessReport:

@@ -50,6 +50,7 @@ from actcovers import (
 from actcovers.acts import _compatibility_failure
 from actcovers.scenarios import left_kernel, qiao_rho, qiao_sigmas
 from test_acceptance import scenario_systems
+from test_flatness import rz2_acts
 
 RZ2 = right_zero_adjoin_one(2)
 RZ3 = right_zero_adjoin_one(3)
@@ -116,6 +117,18 @@ def scan_right_congruences(m):
     each restricted growth string, kept when it is right compatible."""
     return [v for v in restricted_growth_strings(m.order)
             if _compatibility_failure(m.table, v) is None]
+
+
+def closure_generating_set(a):
+    """generating_set by closing the other kept elements each time."""
+    gens = list(range(a.size))
+    for x in range(a.size):
+        if len(gens) == 1:
+            break
+        rest = [g for g in gens if g != x]
+        if x in gens and len(subact_closure(a, rest)) == a.size:
+            gens = rest
+    return tuple(gens)
 
 
 def classes_of(class_of):
@@ -379,6 +392,17 @@ class TestSubactsAndGenerators:
         assert generating_set(S) == (0,)
         th = one_element_act(RZ2)
         assert generating_set(th) == (0,)
+
+    def test_generating_set_matches_closure_oracle(self):
+        acts = list(rz2_acts(4))
+        for n in range(1, 4):
+            for m in enumerate_monoids(n):
+                qs = [quotient_act(m, c) for c in all_right_congruences(m)]
+                acts += [disjoint_union([a, b]) for a in qs for b in qs]
+        sizes = [len(closure_generating_set(a)) for a in acts]
+        assert [generating_set(a) for a in acts] == [
+            closure_generating_set(a) for a in acts]
+        assert (len(acts), sizes.count(1), max(sizes)) == (300, 11, 4)
 
     def test_disjoint_union_labels(self):
         S = regular_act(RZ2)

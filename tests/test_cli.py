@@ -8,10 +8,13 @@ from actcovers import (
     Act,
     ActMap,
     congruence_from_partition,
+    disjoint_union,
     make_system,
     one_element_act,
     quotient_act,
     regular_act,
+    relation_from_subset,
+    relation_to_congruence,
     right_zero_adjoin_one,
 )
 from actcovers.cli import main
@@ -139,6 +142,21 @@ class TestCheck:
         p.write_text(dump_canonical(act_to_doc(regular_act(RZ2))))
         assert main(["check", str(p), "--op", "strongly-flat"]) == 0
         assert "3/3 assertions" in capsys.readouterr().out
+
+    def test_strongly_flat_two_generators(self, tmp_path, capsys):
+        # S/sigma_{z1} + theta needs two generators; the first failing
+        # equality is theta*z1 = theta*z2, as u*z1 != u*z2 for every u
+        q1 = quotient_act(RZ2, relation_to_congruence(
+            RZ2, relation_from_subset(RZ2, (0, 1))))
+        p = tmp_path / "q1_theta.json"
+        p.write_text(dump_canonical(act_to_doc(
+            disjoint_union([q1, one_element_act(RZ2)]))))
+        assert main(["check", str(p), "--op", "strongly-flat", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [(a["desc"], a["ok"], a["witness"]) for a in doc["assertions"]] == [
+            ("condition (P)", False, ["1:theta", "1:theta", "z1", "z2"]),
+            ("condition (E)", False, ["1:theta", "z1", "z2"]),
+            ("act is strongly flat", False, None)]
 
     def test_colimit_json(self, system_file, capsys):
         assert main(["check", system_file, "--op", "colimit", "--json"]) == 0

@@ -1,16 +1,23 @@
 """Condition (P), condition (E), strong flatness reports, and the
 cyclic criterion the cover search filters with.
 
+The exhaustive (P) and (E) scans that try every interpolant are kept
+here as the oracles of the generator-preimage bitmask kernels.
+
 Free acts are finite disjoint unions of copies of the regular act;
 there is no separate constructor for them.
 """
 
+import itertools
+
 from actcovers import (
+    Act,
     all_right_congruences,
     build_from_table,
     congruence_from_partition,
     disjoint_union,
     enumerate_monoids,
+    generating_set,
     is_strongly_flat,
     one_element_act,
     qiao_wei_truncated,
@@ -23,6 +30,7 @@ from actcovers import (
     satisfies_condition_p,
 )
 from actcovers.flatness import _cyclic_strongly_flat
+from actcovers.scenarios import qiao_sigmas, rightzero_sigmas
 
 RZ2 = right_zero_adjoin_one(2)
 SEMILATTICE = build_from_table(("1", "e"), [[0, 1], [1, 1]])
@@ -35,6 +43,105 @@ def sigma(m, i):
 def free_over(m, copies):
     labels = tuple(f"g{i}" for i in range(copies))
     return disjoint_union([regular_act(m)] * copies, labels)
+
+
+def reference_condition_p(a):
+    """(verdict, witness); witness is the least (a, a', s, s') with
+    a*s = a'*s' admitting no interpolant (a'', u, v)."""
+    nx, ns = a.size, a.monoid.order
+    act = a.action
+    for x in range(nx):
+        for y in range(nx):
+            for s in range(ns):
+                xs = act[x][s]
+                for s2 in range(ns):
+                    if xs != act[y][s2]:
+                        continue
+                    if not _p_interpolant(a, x, y, s, s2):
+                        return False, (x, y, s, s2)
+    return True, None
+
+
+def _p_interpolant(a, x, y, s, s2):
+    nx, ns = a.size, a.monoid.order
+    act = a.action
+    t = a.monoid.table
+    for z in range(nx):
+        row = act[z]
+        for u in range(ns):
+            if row[u] != x:
+                continue
+            for v in range(ns):
+                if row[v] == y and t[u][s] == t[v][s2]:
+                    return True
+    return False
+
+
+def reference_condition_e(a):
+    """(verdict, witness); witness is the least (a, s, s') with
+    a*s = a*s' admitting no interpolant (a'', u)."""
+    nx, ns = a.size, a.monoid.order
+    act = a.action
+    for x in range(nx):
+        row = act[x]
+        for s in range(ns):
+            for s2 in range(ns):
+                if row[s] != row[s2]:
+                    continue
+                if not _e_interpolant(a, x, s, s2):
+                    return False, (x, s, s2)
+    return True, None
+
+
+def _e_interpolant(a, x, s, s2):
+    nx, ns = a.size, a.monoid.order
+    act = a.action
+    t = a.monoid.table
+    for z in range(nx):
+        row = act[z]
+        for u in range(ns):
+            if row[u] == x and t[u][s] == t[u][s2]:
+                return True
+    return False
+
+
+def rz2_acts(max_points):
+    """Every act over RZ2 on 1..max_points points, by the actions
+    (f1, f2) of z1 and z2: zi*zj = zj forces f_j(f_i(x)) = f_j(x)."""
+    for n in range(1, max_points + 1):
+        idem = [f for f in itertools.product(range(n), repeat=n)
+                if all(f[f[x]] == f[x] for x in range(n))]
+        for f1, f2 in itertools.product(idem, repeat=2):
+            if all(f1[f2[x]] == f1[x] and f2[f1[x]] == f2[x] for x in range(n)):
+                yield Act(RZ2, tuple(f"p{x}" for x in range(n)),
+                          tuple((x, f1[x], f2[x]) for x in range(n)))
+
+
+def scenario_quotients():
+    """The quotients run_rightzero(1..5) and the run_qiao_wei grid check
+    for strong flatness."""
+    out = []
+    for n in range(1, 6):
+        m = right_zero_adjoin_one(n)
+        out += [quotient_act(m, s) for s in rightzero_sigmas(m)[0]]
+    for n in range(1, 5):
+        for cap in range(1, 7):
+            m = qiao_wei_truncated(n, cap)
+            out += [quotient_act(m, s) for s in qiao_sigmas(m, n)[0][1:]]
+    return out
+
+
+def against_references(acts):
+    """(acts, (P) failures, (E) failures), after checking that both
+    kernels give the reference verdict and witness on every act."""
+    p_fail = e_fail = 0
+    for a in acts:
+        p, e = satisfies_condition_p(a), satisfies_condition_e(a)
+        assert p == reference_condition_p(a), (a.elements, a.action)
+        assert e == reference_condition_e(a), (a.elements, a.action)
+        p_fail += not p[0]
+        e_fail += not e[0]
+    return len(acts), p_fail, e_fail
 
 
 class TestRegularAct:
@@ -137,6 +244,32 @@ class TestDisjointUnions:
         assert not rep.strongly_flat
         # witness lands inside the theta component (index 3)
         assert rep.e_witness == (3, 1, 2)
+
+
+class TestAgainstReferenceScans:
+    # the failure counts pin the references too: a kernel with a
+    # constant answer, or one that finds too few interpolants, fails
+    def test_every_act_over_rz2_up_to_four_points(self):
+        acts = list(rz2_acts(4))
+        # most of them need more than one generator
+        assert sum(len(generating_set(a)) > 1 for a in acts) == 142
+        assert against_references(acts) == (153, 133, 121)
+
+    def test_every_cyclic_quotient_up_to_order_four(self):
+        quotients = [quotient_act(m, c) for n in range(1, 5)
+                     for m in enumerate_monoids(n) for c in all_right_congruences(m)]
+        assert against_references(quotients) == (1011, 465, 559)
+
+    def test_scenario_quotients_are_strongly_flat(self):
+        assert against_references(scenario_quotients()) == (75, 0, 0)
+
+    def test_disjoint_unions_of_two_quotients(self):
+        unions = []
+        for n in range(1, 4):
+            for m in enumerate_monoids(n):
+                qs = [quotient_act(m, c) for c in all_right_congruences(m)]
+                unions += [disjoint_union([a, b]) for a in qs for b in qs]
+        assert against_references(unions) == (147, 59, 85)
 
 
 class TestCyclicCriterion:

@@ -1,6 +1,7 @@
 """Property tests for the Kruml word monoid, its subset system,
 colimits of directed systems, and the congruence and cover searches
-against their oracles on generated small monoids.
+and the (P)/(E) kernels against their oracles on generated small
+monoids.
 
 Hypothesis is a test-only dependency (the `test` extra); without it the
 module is skipped.  Runs are derandomized and keep no example database,
@@ -19,6 +20,7 @@ from actcovers import (  # noqa: E402
     build_from_table,
     cocones,
     compute_colimit,
+    disjoint_union,
     enumerate_monoids,
     homs,
     is_coessential,
@@ -33,12 +35,15 @@ from actcovers import (  # noqa: E402
     relation_from_subset,
     relation_to_congruence,
     right_zero_adjoin_one,
+    satisfies_condition_e,
+    satisfies_condition_p,
     search_sf_coessential_covers,
     verify_universality,
 )
 from actcovers.kruml import _append  # noqa: E402
 from test_acts import scan_right_congruences  # noqa: E402
 from test_colimit import family_images, product_cocones, union_find_colimit  # noqa: E402
+from test_flatness import reference_condition_e, reference_condition_p  # noqa: E402
 from test_kruml import rightmost_normalize  # noqa: E402
 
 SETTINGS = settings(deadline=None, derandomize=True, database=None)
@@ -208,3 +213,14 @@ def test_congruence_search_matches_scan_oracle(m):
 def test_cover_search_matches_unfiltered_reference(m, data):
     target = quotient_act(m, data.draw(st.sampled_from(all_right_congruences(m))))
     assert search_sf_coessential_covers(m, target) == unfiltered_search(m, target)
+
+
+@SETTINGS
+@given(small_monoids(), st.data())
+def test_flatness_kernels_match_reference_scans(m, data):
+    # unions of several quotients need several generators
+    congruences = all_right_congruences(m)
+    parts = data.draw(st.lists(st.sampled_from(congruences), min_size=1, max_size=3))
+    a = disjoint_union([quotient_act(m, c) for c in parts])
+    assert satisfies_condition_p(a) == reference_condition_p(a)
+    assert satisfies_condition_e(a) == reference_condition_e(a)
