@@ -575,28 +575,52 @@ def all_right_congruences(m: Monoid) -> list[RightCongruence]:
     but not their products.  Checks whose products are x and y again
     (u = 1 among them) always hold and are dropped.  Intended for
     monoids of desk size.
+
+    The class lists grow with the prefix: position i joins class v (or
+    opens the class [i]) before the search goes deeper and leaves it on
+    return.  The last position is done in one loop per parent, whose
+    classes and class vector are frozen once and shared by every
+    congruence that loop emits.
     """
     n = m.order
+    if n == 1:
+        return [_congruence(m, (0,))]
     t = m.table
-    checks: list[set] = [set() for _ in range(n)]
+    checks = [set() for _ in range(n)]
     for x in range(n):
         for y in range(x + 1, n):
             for xu, yu in zip(t[x], t[y]):
                 pair = (min(xu, yu), max(xu, yu))
                 if xu != yu and pair != (x, y):
                     checks[max(y, xu, yu)].add((x, y) + pair)
+    checks = [tuple(c) for c in checks]
+    last = n - 1
     rgs = [0] * n
+    classes = [[0]]
     found = []
 
     def rec(i: int, top: int):
-        if i == n:
-            found.append(_congruence(m, tuple(rgs)))
-            return
+        if i == last:
+            pre = tuple(map(tuple, classes))
+            vec = tuple(rgs[:last])
         for v in range(top + 2):
             rgs[i] = v
-            if all(rgs[x] != rgs[y] or rgs[xu] == rgs[yu]
-                   for x, y, xu, yu in checks[i]):
-                rec(i + 1, max(top, v))
+            for x, y, xu, yu in checks[i]:
+                if rgs[x] == rgs[y] and rgs[xu] != rgs[yu]:
+                    break
+            else:
+                if i == last:
+                    cs = (pre + ((i,),) if v > top
+                          else pre[:v] + (pre[v] + (i,),) + pre[v + 1:])
+                    found.append(_trusted(RightCongruence, m, cs, vec + (v,)))
+                elif v > top:
+                    classes.append([i])
+                    rec(i + 1, v)
+                    classes.pop()
+                else:
+                    classes[v].append(i)
+                    rec(i + 1, top)
+                    classes[v].pop()
 
     rec(1, 0)
     return found

@@ -74,9 +74,12 @@ def _generator_preimages(a: Act) -> list[list[list[int]]]:
 def satisfies_condition_p(a: Act):
     """(verdict, witness); witness is the least (a, a', s, s') with
     a*s = a'*s' admitting no interpolant (a'', u, v)."""
+    return _condition_p(a, _generator_preimages(a))
+
+
+def _condition_p(a: Act, pres):
     nx, ns = a.size, a.monoid.order
     act, t = a.action, a.monoid.table
-    pres = _generator_preimages(a)
     where = [_value_masks((row,), nx) for row in act]
     # reach[y][k][w]: the s' with v*s' = w for some v in pre[k][y]
     reach = [[_value_masks([t[v] for v in pre[y]], ns) for pre in pres]
@@ -104,9 +107,12 @@ def satisfies_condition_p(a: Act):
 def satisfies_condition_e(a: Act):
     """(verdict, witness); witness is the least (a, s, s') with
     a*s = a*s' admitting no interpolant (a'', u)."""
+    return _condition_e(a, _generator_preimages(a))
+
+
+def _condition_e(a: Act, pres):
     nx, ns = a.size, a.monoid.order
     act, t = a.action, a.monoid.table
-    pres = _generator_preimages(a)
     tmask = [_value_masks((row,), ns) for row in t]
     for x in range(nx):
         row = act[x]
@@ -123,8 +129,10 @@ def satisfies_condition_e(a: Act):
 
 
 def is_strongly_flat(a: Act) -> FlatnessReport:
-    p_ok, p_wit = satisfies_condition_p(a)
-    e_ok, e_wit = satisfies_condition_e(a)
+    """Both conditions, from one pass over the generators."""
+    pres = _generator_preimages(a)
+    p_ok, p_wit = _condition_p(a, pres)
+    e_ok, e_wit = _condition_e(a, pres)
     return FlatnessReport(a.elements, p_ok, e_ok, p_wit, e_wit)
 
 

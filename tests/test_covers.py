@@ -15,6 +15,7 @@ from actcovers import (
     all_right_congruences,
     congruence_from_partition,
     disjoint_union,
+    enumerate_monoids,
     is_coessential,
     is_cover_wrt,
     is_precover_wrt,
@@ -178,5 +179,29 @@ class TestUniqueUpToIso:
         assert not unique_up_to_iso(
             RZ2, [sigma(RZ2, 1), congruence_from_partition(RZ2, ((0, 1, 2),))])
 
+    def test_same_size_non_isomorphic_false(self):
+        split = congruence_from_partition(RZ2, ((0,), (1, 2)))
+        assert not unique_up_to_iso(RZ2, [sigma(RZ2, 1), sigma(RZ2, 2), split])
+        assert unique_up_to_iso(RZ2, [sigma(RZ2, 1), sigma(RZ2, 2)])
+
     def test_single_entry_vacuous(self):
         assert unique_up_to_iso(RZ2, [sigma(RZ2, 1)])
+
+    def test_sweep_every_cyclic_target_up_to_order_four(self):
+        # the paper's open question on every (monoid, cyclic target)
+        # pair of order <= 4: every target has a strongly flat
+        # coessential cyclic quotient, and all of them are isomorphic.
+        # A non-unique pair would be a finding; it is listed in full.
+        pairs = uncovered = 0
+        non_unique = []
+        for n in range(1, 5):
+            for m in enumerate_monoids(n):
+                for tau in all_right_congruences(m):
+                    found = search_sf_coessential_covers(m, quotient_act(m, tau))
+                    sigmas = [s for s, _ in found]
+                    pairs += 1
+                    uncovered += not found
+                    if not unique_up_to_iso(m, sigmas):
+                        non_unique.append((m.table, tau.classes,
+                                           [s.classes for s in sigmas]))
+        assert (pairs, uncovered, non_unique) == (1011, 0, [])

@@ -29,6 +29,7 @@ from actcovers import (
     satisfies_condition_e,
     satisfies_condition_p,
 )
+from actcovers import flatness
 from actcovers.flatness import _cyclic_strongly_flat
 from actcovers.scenarios import qiao_sigmas, rightzero_sigmas
 
@@ -133,12 +134,15 @@ def scenario_quotients():
 
 def against_references(acts):
     """(acts, (P) failures, (E) failures), after checking that both
-    kernels give the reference verdict and witness on every act."""
+    kernels, alone and through is_strongly_flat, give the reference
+    verdict and witness on every act."""
     p_fail = e_fail = 0
     for a in acts:
         p, e = satisfies_condition_p(a), satisfies_condition_e(a)
         assert p == reference_condition_p(a), (a.elements, a.action)
         assert e == reference_condition_e(a), (a.elements, a.action)
+        rep = is_strongly_flat(a)
+        assert ((rep.condition_p, rep.p_witness), (rep.condition_e, rep.e_witness)) == (p, e)
         p_fail += not p[0]
         e_fail += not e[0]
     return len(acts), p_fail, e_fail
@@ -270,6 +274,20 @@ class TestAgainstReferenceScans:
                 qs = [quotient_act(m, c) for c in all_right_congruences(m)]
                 unions += [disjoint_union([a, b]) for a in qs for b in qs]
         assert against_references(unions) == (147, 59, 85)
+
+
+    def test_report_finds_the_generators_once(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return generating_set(a)
+
+        monkeypatch.setattr(flatness, "generating_set", counted)
+        acts = list(rz2_acts(3))
+        for a in acts:
+            is_strongly_flat(a)
+        assert calls == acts
 
 
 class TestCyclicCriterion:

@@ -41,7 +41,7 @@ from actcovers import (  # noqa: E402
     verify_universality,
 )
 from actcovers.kruml import _append  # noqa: E402
-from test_acts import scan_right_congruences  # noqa: E402
+from test_acts import classes_of, scan_right_congruences  # noqa: E402
 from test_colimit import family_images, product_cocones, union_find_colimit  # noqa: E402
 from test_flatness import reference_condition_e, reference_condition_p  # noqa: E402
 from test_kruml import rightmost_normalize  # noqa: E402
@@ -205,7 +205,9 @@ def test_colimits_of_colliding_node_names_are_universal(data):
 @given(small_monoids())
 def test_congruence_search_matches_scan_oracle(m):
     got = all_right_congruences(m)
-    assert [c.class_of for c in got] == scan_right_congruences(m)
+    want = scan_right_congruences(m)
+    assert [c.class_of for c in got] == want
+    assert [c.classes for c in got] == [classes_of(v) for v in want]
 
 
 @SETTINGS
