@@ -73,9 +73,6 @@ class Act:
     def size(self) -> int:
         return len(self.elements)
 
-    def act(self, x: int, s: int) -> int:
-        return self.action[x][s]
-
 
 @dataclass(frozen=True)
 class ActMap:
@@ -97,9 +94,6 @@ class ActMap:
             for s in range(self.source.monoid.order):
                 if self.image[self.source.action[x][s]] != self.target.action[self.image[x]][s]:
                     raise ValueError(f"map is not equivariant at x={x}, s={s}")
-
-    def __call__(self, x: int) -> int:
-        return self.image[x]
 
     def after(self, inner: "ActMap") -> "ActMap":
         """Composite self o inner."""

@@ -1,8 +1,9 @@
 """Coessential epimorphisms and covers relative to a finite family.
 
 An epimorphism g: P -> A is coessential when no proper subact of P is
-still mapped onto A.  Relative to a finite family F of acts (standing
-in for a class of interest that is too big to quantify over):
+still mapped onto A (read off the orbits of the elements of P, with no
+search).  Relative to a finite family F of acts (standing in for a
+class of interest that is too big to quantify over):
 
 * g is a precover wrt F when every map g': P' -> A with P' in F
   factors as g' = g o f for some f: P' -> P;
@@ -50,22 +51,26 @@ class CoverReport:
 def is_coessential(g: ActMap) -> CoverReport:
     """Decide coessentiality of an epimorphism.
 
-    Iterates over choice functions picking one preimage per target
-    element; the subact generated by any such choice still maps onto
-    the target, so g is coessential iff every one of these closures is
-    the whole source.  The witness is the first proper subact found
-    (fibers scanned in target order, preimages in source order).
+    A choice of one preimage per target element generates a subact
+    that still maps onto the target: the union of the orbits x*S of the
+    chosen x.  So g is coessential iff for every source element p some
+    fiber lies inside {x : p in x*S}.  The witness is the subact
+    generated by the least choice (fibers in target order, preimages in
+    source order) that misses some p: the least over p of the choices
+    taking from each fiber its least x with p outside x*S.
     """
     src, tgt = g.source, g.target
     fibers = [[x for x in range(src.size) if g.image[x] == t] for t in range(tgt.size)]
     for t, fiber in enumerate(fibers):
         if not fiber:
             raise NotEpimorphismError(t)
-    for choice in itertools.product(*fibers):
-        closed = subact_closure(src, choice)
-        if len(closed) < src.size:
-            return CoverReport("coessential", False, closed)
-    return CoverReport("coessential", True, None)
+    orbits = [set(row) for row in src.action]
+    choices = ([next((x for x in fiber if p not in orbits[x]), None) for fiber in fibers]
+               for p in range(src.size))
+    refuting = [c for c in choices if None not in c]
+    if not refuting:
+        return CoverReport("coessential", True, None)
+    return CoverReport("coessential", False, subact_closure(src, min(refuting)))
 
 
 def is_precover_wrt(g: ActMap, family: Sequence[Act]) -> CoverReport:

@@ -1,7 +1,9 @@
 """Coessential epimorphisms, precovers/covers wrt a family, the search.
 
 is_coessential is cross-checked against a raw oracle that enumerates
-every proper subset of the source and tests closure + surjectivity.
+every proper subset of the source and tests closure + surjectivity, and
+against the choice-function product scan it replaced, which is kept
+here as the reference for both verdict and witness.
 """
 
 import itertools
@@ -10,12 +12,15 @@ import pytest
 
 from actcovers import (
     ActMap,
+    CoverReport,
     MonoidTooLargeError,
     NotEpimorphismError,
     all_right_congruences,
+    canonical_projection,
     congruence_from_partition,
     disjoint_union,
     enumerate_monoids,
+    homs,
     is_coessential,
     is_cover_wrt,
     is_precover_wrt,
@@ -33,6 +38,9 @@ from actcovers import (
     subact_closure,
     unique_up_to_iso,
 )
+from actcovers.acts import _checked_congruence
+from actcovers.scenarios import qiao_rho, qiao_sigmas
+from test_flatness import rz2_acts
 
 RZ2 = right_zero_adjoin_one(2)
 S = regular_act(RZ2)
@@ -57,6 +65,83 @@ def brute_coessential(g):
             if {g.image[x] for x in sub} == set(range(tgt.size)):
                 return False
     return True
+
+
+def reference_coessential(g):
+    """The closure of the first choice of preimages, in
+    itertools.product order over the fibers, that is a proper subact."""
+    src, tgt = g.source, g.target
+    fibers = [[x for x in range(src.size) if g.image[x] == t] for t in range(tgt.size)]
+    for t, fiber in enumerate(fibers):
+        if not fiber:
+            raise NotEpimorphismError(t)
+    for choice in itertools.product(*fibers):
+        closed = subact_closure(src, choice)
+        if len(closed) < src.size:
+            return CoverReport("coessential", False, closed)
+    return CoverReport("coessential", True, None)
+
+
+def epimorphisms(acts):
+    return [g for a in acts for b in acts for g in homs(a, b) if g.is_epimorphism]
+
+
+def against_reference(maps):
+    """(maps, non-coessential), after checking that is_coessential
+    gives the product scan's verdict and witness on every map."""
+    refuted = 0
+    for g in maps:
+        rep = is_coessential(g)
+        assert rep == reference_coessential(g), (g.source.action, g.target.action, g.image)
+        refuted += not rep.verdict
+    return len(maps), refuted
+
+
+def onto_rho(m):
+    """Every epimorphism S/sigma -> S/rho over a truncated qiao-wei
+    monoid, rho as in the scenario."""
+    rho = quotient_act(m, _checked_congruence(m, qiao_rho(m)))
+    return [g for c in all_right_congruences(m)
+            for g in homs(quotient_act(m, c), rho) if g.is_epimorphism]
+
+
+class TestAgainstProductScan:
+    # the counts pin the families: every kind has both verdicts, and
+    # most refutations have several refuting choices to pick the least of
+    def test_every_act_over_rz2_up_to_four_points(self):
+        assert against_reference(epimorphisms(list(rz2_acts(4)))) == (6641, 2800)
+
+    def test_quotients_unions_regular_and_one_element_up_to_order_three(self):
+        maps = []
+        for n in range(1, 4):
+            for m in enumerate_monoids(n):
+                qs = [quotient_act(m, c) for c in all_right_congruences(m)]
+                maps += epimorphisms(qs + [disjoint_union([a, b]) for a in qs for b in qs]
+                                     + [regular_act(m), one_element_act(m)])
+        assert against_reference(maps) == (2970, 1997)
+
+    def test_quotients_and_regular_act_of_order_four(self):
+        maps = []
+        for m in enumerate_monoids(4):
+            maps += epimorphisms([quotient_act(m, c) for c in all_right_congruences(m)]
+                                 + [regular_act(m)])
+        assert against_reference(maps) == (4970, 1782)
+
+    def test_qiao_wei_quotients(self):
+        m = qiao_wei_truncated(2, 3)
+        maps = epimorphisms([quotient_act(m, c) for c in all_right_congruences(m)])
+        assert against_reference(maps) == (243, 104)
+        m = qiao_wei_truncated(3, 4)
+        maps = [quotient_map(m, c) for c in all_right_congruences(m)] + onto_rho(m)
+        assert against_reference(maps) == (502, 249)
+        assert against_reference(onto_rho(qiao_wei_truncated(4, 6))) == (5484, 5262)
+
+    def test_qiao_wei_scenario_projections(self):
+        m = qiao_wei_truncated(8, 10)
+        rho = _checked_congruence(m, qiao_rho(m))
+        sigmas = qiao_sigmas(m, 8)[0]
+        maps = [canonical_projection(m, s, rho) for s in sigmas[1:]]
+        assert against_reference(maps) == (8, 0)
 
 
 class TestCoessential:
@@ -93,6 +178,15 @@ class TestCoessential:
         qp = quotient_act(RZ2, congruence_from_partition(RZ2, ((0,), (1, 2))))
         with pytest.raises(NotEpimorphismError):
             is_coessential(ActMap(THETA, qp, (1,)))
+
+    def test_non_epi_names_the_first_empty_fiber(self):
+        # [z1] of the second copy is the only image; fibers 0, 1, 2 are empty
+        qp = quotient_act(RZ2, congruence_from_partition(RZ2, ((0,), (1, 2))))
+        g = ActMap(THETA, disjoint_union([qp, qp]), (3,))
+        for decide in (is_coessential, reference_coessential):
+            with pytest.raises(NotEpimorphismError) as err:
+                decide(g)
+            assert err.value.missing == 0
 
 
 class TestPrecoverAndCover:

@@ -1,7 +1,7 @@
 """Property tests for the Kruml word monoid, its subset system,
-colimits of directed systems, and the congruence and cover searches
-and the (P)/(E) kernels against their oracles on generated small
-monoids.
+colimits of directed systems, and the congruence and cover searches,
+the (P)/(E) kernels and the coessentiality test against their oracles
+on generated small monoids.
 
 Hypothesis is a test-only dependency (the `test` extra); without it the
 module is skipped.  Runs are derandomized and keep no example database,
@@ -43,6 +43,7 @@ from actcovers import (  # noqa: E402
 from actcovers.kruml import _append  # noqa: E402
 from test_acts import classes_of, scan_right_congruences  # noqa: E402
 from test_colimit import family_images, product_cocones, union_find_colimit  # noqa: E402
+from test_covers import reference_coessential  # noqa: E402
 from test_flatness import reference_condition_e, reference_condition_p  # noqa: E402
 from test_kruml import rightmost_normalize  # noqa: E402
 
@@ -226,3 +227,28 @@ def test_flatness_kernels_match_reference_scans(m, data):
     a = disjoint_union([quotient_act(m, c) for c in parts])
     assert satisfies_condition_p(a) == reference_condition_p(a)
     assert satisfies_condition_e(a) == reference_condition_e(a)
+
+
+def refines(sigma, tau):
+    return all(len({tau.class_of[x] for x in c}) == 1 for c in sigma.classes)
+
+
+@SETTINGS
+@given(small_monoids(), st.data())
+def test_coessential_matches_product_scan(m, data):
+    # each target component S/tau gets a source component S/sigma with
+    # sigma inside tau, so the componentwise projection is onto; the
+    # extra source components, each with a map into some S/tau, make
+    # fibers with several preimages
+    congruences = all_right_congruences(m)
+    taus = data.draw(st.lists(st.sampled_from(congruences), min_size=1, max_size=2))
+    sigmas = [data.draw(st.sampled_from([s for s in congruences if refines(s, t)]))
+              for t in taus]
+    finer = [s for s in congruences if any(refines(s, t) for t in taus)]
+    sigmas += data.draw(st.lists(st.sampled_from(finer), max_size=2))
+    source = disjoint_union([quotient_act(m, s) for s in sigmas])
+    target = disjoint_union([quotient_act(m, t) for t in taus])
+    epis = [g for g in homs(source, target) if g.is_epimorphism]
+    assert epis
+    for g in epis:
+        assert is_coessential(g) == reference_coessential(g)

@@ -6,21 +6,26 @@ from itertools import combinations, permutations
 
 import pytest
 
+import actcovers
 from actcovers import (
     FinXSystem,
     OrderTooLargeError,
     TooFewSamplesError,
+    congruence_from_partition,
     kmul,
     knormalize,
     normal_words,
+    quotient_act,
+    right_zero_adjoin_one,
 )
-from actcovers import scenarios
+from actcovers import acts, covers, scenarios
 from actcovers.scenarios import (
     KRUML_SAMPLE_FLOOR,
     run_kruml,
     run_lemma,
     run_qiao_wei,
     run_rightzero,
+    rightzero_sigmas,
 )
 
 
@@ -138,6 +143,32 @@ class TestQiaoWei:
             run_qiao_wei(2, 0)
         with pytest.raises(ValueError):
             run_qiao_wei(2, 7)
+
+
+class TestIsomorphismsFromWitness:
+    def test_no_scenario_searches_for_a_bijection(self, monkeypatch):
+        calls = []
+        original = acts.are_isomorphic
+
+        def counted(a, b, *args):
+            calls.append((a, b))
+            return original(a, b, *args)
+
+        for mod in (actcovers, acts, covers, scenarios):
+            monkeypatch.setattr(mod, "are_isomorphic", counted, raising=False)
+        reports = [run_rightzero(n) for n in range(1, 6)]
+        reports += [run_qiao_wei(n, cap) for n in range(1, 5) for cap in range(1, 7)]
+        assert all(rep.passed for rep in reports)
+        assert calls == []
+
+    def test_pair_without_witness_is_labelled_none(self):
+        m = right_zero_adjoin_one(2)
+        z1, z2 = rightzero_sigmas(m)[0]
+        split = congruence_from_partition(m, ((0,), (1, 2)))
+        named = [(name, s, quotient_act(m, s))
+                 for name, s in (("z1", z1), ("z2", z2), ("split", split))]
+        assert scenarios._pairwise_isomorphic(m, named) == (False, [
+            ("z1", "z2", "z1"), ("z1", "split", None), ("z2", "split", None)])
 
 
 class TestKruml:
