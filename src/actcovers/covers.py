@@ -51,26 +51,26 @@ class CoverReport:
 def is_coessential(g: ActMap) -> CoverReport:
     """Decide coessentiality of an epimorphism.
 
-    A choice of one preimage per target element generates a subact
-    that still maps onto the target: the union of the orbits x*S of the
-    chosen x.  So g is coessential iff for every source element p some
-    fiber lies inside {x : p in x*S}.  The witness is the subact
+    A choice of one preimage per target element generates the union of
+    the orbits x*S of the chosen x, a subact still mapped onto the
+    target.  So g is coessential iff every source element p is forced:
+    some fiber lies inside {x : p in x*S}.  The witness is the subact
     generated by the least choice (fibers in target order, preimages in
-    source order) that misses some p: the least over p of the choices
-    taking from each fiber its least x with p outside x*S.
+    source order) missing some p: over the unforced p, the least of the
+    choices of each fiber's least x with p outside x*S.
     """
     src, tgt = g.source, g.target
     fibers = [[x for x in range(src.size) if g.image[x] == t] for t in range(tgt.size)]
     for t, fiber in enumerate(fibers):
         if not fiber:
             raise NotEpimorphismError(t)
-    orbits = [set(row) for row in src.action]
-    choices = ([next((x for x in fiber if p not in orbits[x]), None) for fiber in fibers]
-               for p in range(src.size))
-    refuting = [c for c in choices if None not in c]
-    if not refuting:
-        return CoverReport("coessential", True, None)
-    return CoverReport("coessential", False, subact_closure(src, min(refuting)))
+    rows = src.action
+    forced = set().union(*(set(rows[fiber[0]]).intersection(*(rows[x] for x in fiber[1:]))
+                           for fiber in fibers))
+    refuting = [[next(x for x in fiber if p not in rows[x]) for fiber in fibers]
+                for p in range(src.size) if p not in forced]
+    witness = subact_closure(src, min(refuting)) if refuting else None
+    return CoverReport("coessential", witness is None, witness)
 
 
 def is_precover_wrt(g: ActMap, family: Sequence[Act]) -> CoverReport:
