@@ -260,6 +260,11 @@ def relation_from_subset(m: Monoid, members: Sequence[int]) -> Relation:
     return Relation(m, frozenset(pairs))
 
 
+def _low(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def is_right_congruence(m: Monoid, rel: Relation):
     """Check the four congruence laws; (verdict, witness).
 
@@ -267,26 +272,37 @@ def is_right_congruence(m: Monoid, rel: Relation):
     ("reflexivity", (s,)), ("symmetry", (s, t)),
     ("transitivity", (s, t, u)) with s~t, t~u but not s~u, or
     ("compatibility", (s, t, u)) with s~t but not s*u ~ t*u.
+
+    The laws are decided on row masks (bit t of row s set iff s~t):
+    for each s in turn, the least failing t of symmetry is the lowest
+    set bit of row s outside column s, and for each t of row s in
+    ascending order the least failing u of transitivity is the lowest
+    set bit of rows[t] & ~rows[s], so the witnesses are those of the
+    lexicographic scan.
     """
     n = m.order
-    holds = rel.holds
-    for s in range(n):
-        if not holds(s, s):
+    rows, cols = [0] * n, [0] * n
+    for s, t in rel.pairs:
+        rows[s] |= 1 << t
+        cols[t] |= 1 << s
+    for s, row in enumerate(rows):
+        if not row >> s & 1:
             return False, ("reflexivity", (s,))
-    for s in range(n):
-        for t in range(n):
-            if holds(s, t) and not holds(t, s):
-                return False, ("symmetry", (s, t))
-    for s in range(n):
-        for t in range(n):
-            if not holds(s, t):
-                continue
-            for u in range(n):
-                if holds(t, u) and not holds(s, u):
-                    return False, ("transitivity", (s, t, u))
+    for s, row in enumerate(rows):
+        bad = row & ~cols[s]
+        if bad:
+            return False, ("symmetry", (s, _low(bad)))
+    for s, row in enumerate(rows):
+        rest = row
+        while rest:
+            t = _low(rest)
+            rest &= rest - 1
+            bad = rows[t] & ~row
+            if bad:
+                return False, ("transitivity", (s, t, _low(bad)))
     # with r < s related, (s, t, u) failing makes (r, s, u) or (r, t, u)
     # fail, so the class scan finds the lexicographic witness
-    bad = _compatibility_failure(m.table, _class_vector(m, rel))
+    bad = _compatibility_failure(m.table, _canonical(map(_low, rows)))
     if bad is not None:
         return False, ("compatibility", bad)
     return True, None
@@ -305,9 +321,12 @@ def _checked_congruence(m: Monoid, rel: Relation) -> RightCongruence:
 
 
 def _class_vector(m: Monoid, rel: Relation) -> tuple[int, ...]:
-    """Class vector of an equivalence relation, keyed by least related element."""
-    n = m.order
-    return _canonical(next(t for t in range(n) if rel.holds(s, t)) for s in range(n))
+    """Class vector of an equivalence relation, keyed by least related
+    element: the lowest set bit of each row mask."""
+    rows = [0] * m.order
+    for s, t in rel.pairs:
+        rows[s] |= 1 << t
+    return _canonical(map(_low, rows))
 
 
 def _find(parent: list[int], x: int) -> int:

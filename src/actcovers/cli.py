@@ -9,6 +9,7 @@ some failed, 2 on bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -143,8 +144,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() reuses, built on its first call: parsing reads
+    but never changes a parser, so one serves every in-process call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "rightzero":
             return _emit(run_rightzero(args.n), args.json)

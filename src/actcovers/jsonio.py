@@ -18,6 +18,16 @@ from .colimit import DirectedSystem, make_system
 from .monoid import Monoid, build_from_table
 
 
+def _read_json(path: Path):
+    """The JSON value in a file; a document nested too deeply for the
+    decoder is a ValueError like any other malformed input."""
+    text = path.read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document is nested too deeply") from None
+
+
 def _expect(value, kind, what: str):
     """The value if it is a JSON array (list) or object (dict) as asked."""
     if not isinstance(value, kind):
@@ -60,7 +70,7 @@ def _resolve_monoid(field, base: Union[Path, None]) -> Monoid:
         path = Path(field)
         if base is not None and not path.is_absolute():
             path = base / path
-        return monoid_from_doc(json.loads(path.read_text()))
+        return monoid_from_doc(_read_json(path))
     return monoid_from_doc(field)
 
 
@@ -113,8 +123,7 @@ def system_from_doc(doc: dict, base: Union[Path, None] = None) -> DirectedSystem
 
 
 def load_document(path: Union[str, Path]) -> dict:
-    text = Path(path).read_text()
-    doc = json.loads(text)
+    doc = _read_json(Path(path))
     if not isinstance(doc, dict):
         raise ValueError("top-level JSON value must be an object")
     return doc

@@ -47,7 +47,7 @@ from actcovers import (
     right_zero_adjoin_one,
     subact_closure,
 )
-from actcovers.acts import _compatibility_failure
+from actcovers.acts import _checked_congruence, _compatibility_failure
 from actcovers.scenarios import left_kernel, qiao_rho, qiao_sigmas
 from test_acceptance import scenario_systems
 from test_flatness import rz2_acts
@@ -235,6 +235,82 @@ def scan_compatibility_witness(m, rel):
                     if not rel.holds(t_[s][u], t_[t][u]):
                         return s, t, u
     return None
+
+
+def reference_class_vector(m, rel):
+    """Class vector of an equivalence relation, keyed by the least
+    related element found by asking holds for each t in turn."""
+    n = m.order
+    number = {}
+    return tuple(number.setdefault(next(t for t in range(n) if rel.holds(s, t)),
+                                   len(number)) for s in range(n))
+
+
+def reference_is_right_congruence(m, rel):
+    """The holds scan is_right_congruence ran before it used row masks:
+    (verdict, witness), the first broken law under lexicographic scan."""
+    n = m.order
+    holds = rel.holds
+    for s in range(n):
+        if not holds(s, s):
+            return False, ("reflexivity", (s,))
+    for s in range(n):
+        for t in range(n):
+            if holds(s, t) and not holds(t, s):
+                return False, ("symmetry", (s, t))
+    for s in range(n):
+        for t in range(n):
+            if not holds(s, t):
+                continue
+            for u in range(n):
+                if holds(t, u) and not holds(s, u):
+                    return False, ("transitivity", (s, t, u))
+    bad = _compatibility_failure(m.table, reference_class_vector(m, rel))
+    if bad is not None:
+        return False, ("compatibility", bad)
+    return True, None
+
+
+class TestAgainstHoldsScan:
+    def test_subset_relations_of_small_monoids(self):
+        # relation_from_subset is reflexive and symmetric by construction,
+        # so only transitivity fails here; test_properties.py reaches the
+        # other laws on arbitrary pair sets
+        kinds = {}
+        for n in range(1, 5):
+            for m in enumerate_monoids(n):
+                for r in range(n):
+                    for rest in itertools.combinations(range(1, n), r):
+                        rel = relation_from_subset(m, (0,) + rest)
+                        got = is_right_congruence(m, rel)
+                        assert got == reference_is_right_congruence(m, rel)
+                        kind = got[1] and got[1][0]
+                        kinds[kind] = kinds.get(kind, 0) + 1
+                        if got[0]:
+                            assert (_checked_congruence(m, rel).class_of
+                                    == reference_class_vector(m, rel))
+        assert kinds == {None: 1083, "transitivity": 214}
+
+    @pytest.mark.parametrize("pairs,kind,witness", [
+        ({(0, 0), (1, 1)}, "reflexivity", (2,)),
+        ({(0, 0), (1, 1), (2, 2), (2, 1)}, "symmetry", (2, 1)),
+        ({(0, 0), (1, 1), (2, 2), (2, 0), (2, 1)}, "symmetry", (2, 0)),
+        ({(0, 0), (1, 1), (2, 2), (0, 2), (2, 0), (1, 2), (2, 1)},
+         "transitivity", (0, 2, 1)),
+    ])
+    def test_each_law_names_its_witness(self, pairs, kind, witness):
+        rel = Relation(RZ2, frozenset(pairs))
+        assert is_right_congruence(RZ2, rel) == (False, (kind, witness))
+        assert reference_is_right_congruence(RZ2, rel) == (False, (kind, witness))
+
+    def test_compatibility_witness(self):
+        # every partition of RZ2 is right compatible; 1 ~ x0 in Q23 is not,
+        # since 1*x0 = x0 and x0*x0 = x0^2 are apart
+        rel = Relation(Q23, frozenset({(s, s) for s in range(Q23.order)}
+                                      | {(0, 1), (1, 0)}))
+        want = (False, ("compatibility", (0, 1, 1)))
+        assert is_right_congruence(Q23, rel) == want
+        assert reference_is_right_congruence(Q23, rel) == want
 
 
 def random_equivalence(m, rng):

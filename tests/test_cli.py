@@ -1,5 +1,7 @@
 """Command line entry point: exit codes, output shapes, check ops."""
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -17,7 +19,8 @@ from actcovers import (
     relation_to_congruence,
     right_zero_adjoin_one,
 )
-from actcovers.cli import main
+from actcovers import cli
+from actcovers.cli import build_parser, main
 from actcovers.jsonio import act_to_doc, dump_canonical, monoid_to_doc, system_to_doc
 
 RZ2 = right_zero_adjoin_one(2)
@@ -244,3 +247,85 @@ class TestCheck:
     def test_unknown_op_rejected_by_argparse(self, monoid_file):
         with pytest.raises(SystemExit):
             main(["check", monoid_file, "--op", "frobnicate"])
+
+    DEEP = 5000  # beyond the JSON decoder's recursion limit
+
+    @pytest.mark.parametrize("text", [
+        "[" * DEEP + "]" * DEEP,
+        '{"nodes": ' + "[" * DEEP + "]" * DEEP + "}",
+    ], ids=["top-level-array", "nodes"])
+    def test_over_deep_document(self, tmp_path, text, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text(text)
+        assert main(["check", str(p)]) == 2
+        assert capsys.readouterr().err == "error: JSON document is nested too deeply\n"
+
+    def test_over_deep_monoid_path(self, tmp_path, theta_file, capsys):
+        (tmp_path / "deep.json").write_text("[" * self.DEEP + "]" * self.DEEP)
+        doc = json.loads(open(theta_file).read())
+        doc["monoid"] = "deep.json"
+        p = tmp_path / "act.json"
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p), "--op", "strongly-flat"]) == 2
+        assert capsys.readouterr().err == "error: JSON document is nested too deeply\n"
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    @pytest.fixture
+    def fresh_cache(self):
+        cached = cli._parser
+        cached.cache_clear()
+        yield
+        cached.cache_clear()
+
+    @staticmethod
+    def calls(monoid_file):
+        # failed parses between valid calls; without --json a report
+        # shows no timing, so the outputs compare exactly
+        return [
+            ["check", monoid_file, "--op", "frobnicate"],
+            ["kruml-nf", "3", "1", "2"],
+            ["kruml"],
+            ["lemma", "--max-order", "2"],
+            ["check", monoid_file, "--op", "is-group"],
+            ["kruml-nf", "--json"],
+            ["qiao-wei", "--n", "x"],
+            ["check", "/nonexistent/path.json"],
+            [],
+            ["kruml-nf", "2", "0"],
+        ]
+
+    def test_main_builds_one_parser(self, monkeypatch, fresh_cache, monoid_file):
+        built = []
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for _ in range(5):
+            for argv in self.calls(monoid_file):
+                run(argv)
+        assert len(built) == 1
+
+    def test_failed_parse_leaves_the_parser_as_fresh(
+            self, monkeypatch, fresh_cache, monoid_file):
+        reused = [run(argv) for argv in self.calls(monoid_file)]
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = [run(argv) for argv in self.calls(monoid_file)]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [2, 0, 2, 0, 1, 0, 2, 2, 2, 0]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()

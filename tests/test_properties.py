@@ -1,7 +1,7 @@
 """Property tests for the Kruml word monoid, its subset system,
 colimits of directed systems, and the congruence and cover searches,
-the (P)/(E) kernels and the coessentiality test against their oracles
-on generated small monoids.
+the (P)/(E) kernels, the coessentiality test and the relation laws
+against their oracles on generated small monoids.
 
 Hypothesis is a test-only dependency (the `test` extra); without it the
 module is skipped.  Runs are derandomized and keep no example database,
@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from actcovers import (  # noqa: E402
     Act,
     FinXSystem,
+    Relation,
     all_right_congruences,
     build_from_table,
     cocones,
@@ -24,6 +25,7 @@ from actcovers import (  # noqa: E402
     enumerate_monoids,
     homs,
     is_coessential,
+    is_right_congruence,
     is_strongly_flat,
     is_normal,
     kmul,
@@ -41,7 +43,11 @@ from actcovers import (  # noqa: E402
     verify_universality,
 )
 from actcovers.kruml import _append  # noqa: E402
-from test_acts import classes_of, scan_right_congruences  # noqa: E402
+from test_acts import (  # noqa: E402
+    classes_of,
+    reference_is_right_congruence,
+    scan_right_congruences,
+)
 from test_colimit import family_images, product_cocones, union_find_colimit  # noqa: E402
 from test_covers import reference_coessential  # noqa: E402
 from test_flatness import reference_condition_e, reference_condition_p  # noqa: E402
@@ -252,3 +258,30 @@ def test_coessential_matches_product_scan(m, data):
     assert epis
     for g in epis:
         assert is_coessential(g) == reference_coessential(g)
+
+
+def test_relation_laws_match_holds_scan():
+    # a pair set is drawn as an equivalence relation (or the empty set)
+    # with arbitrary pairs toggled, mirrored or not, so that every law
+    # is broken first by some example and some examples pass
+    kinds = set()
+
+    @settings(SETTINGS, max_examples=200)
+    @given(small_monoids(), st.data())
+    def check(m, data):
+        n = m.order
+        point = st.integers(0, n - 1)
+        pairs = set()
+        if data.draw(st.sampled_from((False, True, True, True)), label="from an equivalence"):
+            block = data.draw(st.lists(point, min_size=n, max_size=n), label="blocks")
+            pairs = {(s, t) for s in range(n) for t in range(n) if block[s] == block[t]}
+        toggled = data.draw(st.sets(st.tuples(point, point), max_size=3), label="toggled")
+        if data.draw(st.booleans(), label="mirrored"):
+            toggled |= {(t, s) for s, t in toggled}
+        rel = Relation(m, frozenset(pairs ^ toggled))
+        got = is_right_congruence(m, rel)
+        assert got == reference_is_right_congruence(m, rel)
+        kinds.add(got[1] and got[1][0])
+
+    check()
+    assert kinds == {None, "reflexivity", "symmetry", "transitivity", "compatibility"}
