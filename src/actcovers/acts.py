@@ -10,12 +10,14 @@ Binary relations on S and right congruences are kept as distinct
 types: several constructions (for instance the p*s = q*t relation
 induced by a submonoid) produce relations that are not transitive, and
 the failure itself is informative, so converting to a congruence is an
-explicit, validated step.
+explicit, validated step.  A relation is kept as row masks (bit t of
+rows[s] set iff s ~ t), read bit by bit: each pass costs O(pairs).
 """
 
 from __future__ import annotations
 
 import itertools
+import reprlib
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -56,7 +58,7 @@ class Act:
         for x, row in enumerate(self.action):
             for s, y in enumerate(row):
                 if not isinstance(y, int) or not 0 <= y < nx:
-                    raise ValueError(f"action[{x}][{s}] = {y!r} out of range")
+                    raise ValueError(f"action[{x}][{s}] = {reprlib.repr(y)} out of range")
         t = self.monoid.table
         for x in range(nx):
             if self.action[x][0] != x:
@@ -89,7 +91,7 @@ class ActMap:
             raise ValueError("image must list one target index per source element")
         for x, y in enumerate(self.image):
             if not isinstance(y, int) or not 0 <= y < self.target.size:
-                raise ValueError(f"image[{x}] = {y!r} out of range")
+                raise ValueError(f"image[{x}] = {reprlib.repr(y)} out of range")
         for x in range(self.source.size):
             for s in range(self.source.monoid.order):
                 if self.image[self.source.action[x][s]] != self.target.action[self.image[x]][s]:
@@ -125,19 +127,25 @@ def identity_map(a: Act) -> ActMap:
 
 @dataclass(frozen=True)
 class Relation:
-    """Plain binary relation on the elements of a monoid."""
+    """Binary relation on a monoid: bit t of rows[s] is set iff s ~ t."""
 
     monoid: Monoid
-    pairs: frozenset
+    rows: tuple[int, ...]
 
     def __post_init__(self):
         n = self.monoid.order
-        for s, t in self.pairs:
-            if not (0 <= s < n and 0 <= t < n):
-                raise ValueError(f"relation pair {(s, t)} out of range")
+        if len(self.rows) != n:
+            raise ValueError(f"a relation needs {n} rows, got {len(self.rows)}")
+        for s, row in enumerate(self.rows):
+            if not isinstance(row, int) or not 0 <= row < 1 << n:
+                raise ValueError(f"relation row {s} = {reprlib.repr(row)} out of range")
+
+    @property
+    def pairs(self) -> frozenset:
+        return frozenset(_pairs(self.rows))
 
     def holds(self, s: int, t: int) -> bool:
-        return (s, t) in self.pairs
+        return 0 <= s < len(self.rows) and t >= 0 and bool(self.rows[s] >> t & 1)
 
 
 def canonical_partition(classes: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
@@ -191,12 +199,8 @@ class RightCongruence:
         return self._class_of[s] == self._class_of[t]
 
     def relation(self) -> Relation:
-        pairs = set()
-        for c in self.classes:
-            for s in c:
-                for t in c:
-                    pairs.add((s, t))
-        return Relation(self.monoid, frozenset(pairs))
+        masks = [sum(1 << x for x in c) for c in self.classes]
+        return _trusted(Relation, self.monoid, tuple(map(masks.__getitem__, self._class_of)))
 
 
 def _compatibility_failure(table, class_of) -> Optional[tuple[int, int, int]]:
@@ -241,28 +245,46 @@ def full_congruence(m: Monoid) -> RightCongruence:
     return congruence_from_partition(m, [list(range(m.order))])
 
 
+def _value_masks(rows, size: int) -> list[int]:
+    """masks[w]: the positions i with row[i] = w in some row, as a bitmask."""
+    masks = [0] * size
+    for row in rows:
+        for i, w in enumerate(row):
+            masks[w] |= 1 << i
+    return masks
+
+
 def relation_from_subset(m: Monoid, members: Sequence[int]) -> Relation:
     """Relation  s ~ t  iff  p*s = q*t  for some p, q in the given set.
 
     The set must contain the identity.  The result is always reflexive
     and symmetric but need not be transitive; validate with
-    is_right_congruence before treating it as a congruence.
+    is_right_congruence before treating it as a congruence.  Row s is
+    the union over p of the t with q*t = p*s for some q.
     """
     if 0 not in members:
         raise ValueError("the subset must contain the identity")
-    n = m.order
-    reach = [frozenset(m.table[p][s] for p in members) for s in range(n)]
-    pairs = set()
-    for s in range(n):
-        for t in range(n):
-            if reach[s] & reach[t]:
-                pairs.add((s, t))
-    return Relation(m, frozenset(pairs))
+    member_rows = [m.table[p] for p in members]
+    pre = _value_masks(member_rows, m.order)
+    rows = [0] * m.order
+    for row in member_rows:
+        for s, w in enumerate(row):
+            rows[s] |= pre[w]
+    return _trusted(Relation, m, tuple(rows))
 
 
 def _low(mask: int) -> int:
     """Index of the lowest set bit of a nonzero mask."""
     return (mask & -mask).bit_length() - 1
+
+
+def _pairs(rows):
+    """The (s, t) with bit t of rows[s] set, in lexicographic order."""
+    for s, row in enumerate(rows):
+        while row:
+            low = row & -row
+            yield s, low.bit_length() - 1
+            row ^= low
 
 
 def is_right_congruence(m: Monoid, rel: Relation):
@@ -273,31 +295,25 @@ def is_right_congruence(m: Monoid, rel: Relation):
     ("transitivity", (s, t, u)) with s~t, t~u but not s~u, or
     ("compatibility", (s, t, u)) with s~t but not s*u ~ t*u.
 
-    The laws are decided on row masks (bit t of row s set iff s~t):
-    for each s in turn, the least failing t of symmetry is the lowest
-    set bit of row s outside column s, and for each t of row s in
-    ascending order the least failing u of transitivity is the lowest
-    set bit of rows[t] & ~rows[s], so the witnesses are those of the
-    lexicographic scan.
+    The laws are decided on the row masks, read bit by bit.  A reflexive
+    relation is an equivalence exactly when each distinct row is the row
+    of each of its members; up to the first mismatch the rows read are
+    disjoint, so that test reads at most n + 1 bits.  Only a relation
+    failing it is scanned in lexicographic order: for each s~t,
+    symmetry fails when row t lacks s, and transitivity at the lowest
+    set bit of rows[t] & ~rows[s].
     """
-    n = m.order
-    rows, cols = [0] * n, [0] * n
-    for s, t in rel.pairs:
-        rows[s] |= 1 << t
-        cols[t] |= 1 << s
+    rows = rel.rows
     for s, row in enumerate(rows):
         if not row >> s & 1:
             return False, ("reflexivity", (s,))
-    for s, row in enumerate(rows):
-        bad = row & ~cols[s]
-        if bad:
-            return False, ("symmetry", (s, _low(bad)))
-    for s, row in enumerate(rows):
-        rest = row
-        while rest:
-            t = _low(rest)
-            rest &= rest - 1
-            bad = rows[t] & ~row
+    distinct = tuple(set(rows))
+    if any(rows[t] != distinct[i] for i, t in _pairs(distinct)):
+        for s, t in _pairs(rows):
+            if not rows[t] >> s & 1:
+                return False, ("symmetry", (s, t))
+        for s, t in _pairs(rows):
+            bad = rows[t] & ~rows[s]
             if bad:
                 return False, ("transitivity", (s, t, _low(bad)))
     # with r < s related, (s, t, u) failing makes (r, s, u) or (r, t, u)
@@ -317,16 +333,7 @@ def relation_to_congruence(m: Monoid, rel: Relation) -> RightCongruence:
 
 def _checked_congruence(m: Monoid, rel: Relation) -> RightCongruence:
     """Trusted congruence of a relation that passed is_right_congruence."""
-    return _congruence(m, _class_vector(m, rel))
-
-
-def _class_vector(m: Monoid, rel: Relation) -> tuple[int, ...]:
-    """Class vector of an equivalence relation, keyed by least related
-    element: the lowest set bit of each row mask."""
-    rows = [0] * m.order
-    for s, t in rel.pairs:
-        rows[s] |= 1 << t
-    return _canonical(map(_low, rows))
+    return _congruence(m, _canonical(map(_low, rel.rows)))
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -370,22 +377,15 @@ def pullback_relation(m: Monoid, tau, u: int) -> Relation:
     tau may be a Relation or a RightCongruence.  Pulling a right
     congruence back along left multiplication always yields a right
     congruence again; the raw Relation is returned so callers can
-    compare structurally.
+    compare structurally.  Row s is the union of the preimages under
+    t -> u*t of the set bits of row u*s of tau.
     """
-    holds = tau.together if isinstance(tau, RightCongruence) else tau.holds
-    n = m.order
-    t_ = m.table
-    row = t_[u]
-    pairs = frozenset(
-        (s, t) for s in range(n) for t in range(n) if holds(row[s], row[t])
-    )
-    return Relation(m, pairs)
-
-
-def _pullback_class_of(m: Monoid, tau: RightCongruence, u: int) -> tuple[int, ...]:
-    """Canonical class vector of the pullback of tau along u."""
-    cls = tau.class_of
-    return _canonical([cls[v] for v in m.table[u]])
+    rows = tau.rows if isinstance(tau, Relation) else tau.relation().rows
+    pre = _value_masks((m.table[u],), m.order)
+    lift = [0] * m.order
+    for w, v in _pairs(rows):
+        lift[w] |= pre[v]
+    return _trusted(Relation, m, tuple(lift[w] for w in m.table[u]))
 
 
 def regular_act(m: Monoid) -> Act:
@@ -569,10 +569,11 @@ def cyclic_iso_witness(m: Monoid, sigma: RightCongruence, tau: RightCongruence) 
     cyclic acts being isomorphic.
     """
     qt = quotient_act(m, tau)
+    cls, want = tau.class_of, sigma.class_of
     for u in range(m.order):
-        if _pullback_class_of(m, tau, u) != sigma.class_of:
+        if _canonical([cls[v] for v in m.table[u]]) != want:
             continue
-        if len(subact_closure(qt, [tau.class_of[u]])) == qt.size:
+        if len(subact_closure(qt, [cls[u]])) == qt.size:
             return u
     return None
 

@@ -6,6 +6,8 @@ caller can point at the exact cell or triple that broke the contract.
 
 from __future__ import annotations
 
+import reprlib
+
 
 class ActcoversError(Exception):
     """Base class for all library-specific errors."""
@@ -28,7 +30,7 @@ class NoIdentityError(ActcoversError):
 class BadIndexError(ActcoversError):
     def __init__(self, row: int, col: int, value: object):
         self.cell = (row, col, value)
-        super().__init__(f"table entry [{row}][{col}] = {value!r} is out of range")
+        super().__init__(f"table entry [{row}][{col}] = {reprlib.repr(value)} is out of range")
 
 
 class EmptySemigroupError(ActcoversError):
@@ -73,15 +75,15 @@ class MonoidTooLargeError(ActcoversError):
 class NotDirectedError(ActcoversError):
     def __init__(self, i: object, j: object):
         self.pair = (i, j)
-        super().__init__(f"nodes {i!r} and {j!r} have no common upper bound")
+        i, j = map(reprlib.repr, (i, j))
+        super().__init__(f"nodes {i} and {j} have no common upper bound")
 
 
 class IncoherentArrowsError(ActcoversError):
     def __init__(self, i: object, j: object, k: object):
         self.triple = (i, j, k)
-        super().__init__(
-            f"arrow composition {i!r}->{j!r}->{k!r} disagrees with {i!r}->{k!r}"
-        )
+        i, j, k = map(reprlib.repr, (i, j, k))
+        super().__init__(f"arrow composition {i}->{j}->{k} disagrees with {i}->{k}")
 
 
 class NotSubsetError(ActcoversError):

@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .acts import Act, RightCongruence, generating_set
+from .acts import Act, RightCongruence, _value_masks, generating_set
 
 
 @dataclass(frozen=True)
@@ -47,16 +47,6 @@ class FlatnessReport:
     @property
     def strongly_flat(self) -> bool:
         return self.condition_p and self.condition_e
-
-
-def _value_masks(rows, size: int) -> list[int]:
-    """masks[w]: the bitmask of the positions i with row[i] = w for some
-    row of rows."""
-    masks = [0] * size
-    for row in rows:
-        for i, w in enumerate(row):
-            masks[w] |= 1 << i
-    return masks
 
 
 def _generator_preimages(a: Act) -> list[list[list[int]]]:

@@ -10,6 +10,7 @@ arrow keys "i,j".
 from __future__ import annotations
 
 import json
+import reprlib
 from pathlib import Path
 from typing import Union
 
@@ -109,7 +110,7 @@ def system_from_doc(doc: dict, base: Union[Path, None] = None) -> DirectedSystem
     arrows = {}
     for key, image in doc["arrows"].items():
         if not isinstance(image, list):
-            raise ValueError(f"arrow {key!r} image must be a list")
+            raise ValueError(f"arrow {reprlib.repr(key)} image must be a list")
         i, j = (part.strip() for part in str(key).split(","))
         arrows[(i, j)] = ActMap(acts[i], acts[j], tuple(image))
     order = []

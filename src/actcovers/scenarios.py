@@ -22,12 +22,13 @@ from .acts import (
     _canonical,
     _checked_congruence,
     _congruence,
-    _pullback_class_of,
+    _trusted,
     canonical_projection,
     cyclic_iso_witness,
     is_right_congruence,
     one_element_act,
     projection_to_one,
+    pullback_relation,
     quotient_act,
     relation_from_subset,
 )
@@ -148,10 +149,10 @@ def qiao_sigmas(m, n):
 
 def qiao_rho(m) -> Relation:
     """rho: the powers of x_0 in one class, everything else in the other."""
-    n = m.order
-    zero = [m.label(s).startswith("x0^") for s in range(n)]
-    return Relation(m, frozenset(
-        (s, t) for s in range(n) for t in range(n) if zero[s] == zero[t]))
+    zero = sum(1 << s for s in range(m.order) if m.label(s).startswith("x0^"))
+    rest = (1 << m.order) - 1 ^ zero
+    return _trusted(Relation, m, tuple(
+        zero if zero >> s & 1 else rest for s in range(m.order)))
 
 
 def left_kernel(m, u: int) -> RightCongruence:
@@ -298,17 +299,18 @@ def run_qiao_wei(n: int, cap: Optional[int] = None) -> ScenarioReport:
         "sigma_0 is the full relation (x_0^cap reaches every pair)",
         len(sigmas[0].classes) == 1, None))
 
+    rels = [s.relation() for s in sigmas]
     pull_bad = [
         (i, j) for j in range(2, n + 1) for i in range(1, j)
-        if _pullback_class_of(m, sigmas[j], m.index(f"x{i}^1")) != sigmas[i].class_of]
+        if pullback_relation(m, rels[j], m.index(f"x{i}^1")) != rels[i]]
     out.append(Assertion(
         "pullback of sigma_j along x_i equals sigma_i for 1 <= i < j",
         not pull_bad, pull_bad or None))
 
     x0 = m.index("x0^1")
     kernel = left_kernel(m, x0)
-    k_bad = [j for j in range(1, n + 1)
-             if _pullback_class_of(m, sigmas[j], x0) != kernel.class_of]
+    k_rel = kernel.relation()
+    k_bad = [j for j in range(1, n + 1) if pullback_relation(m, rels[j], x0) != k_rel]
     proper = cap < 2 or len(kernel.classes) > 1
     out.append(Assertion(
         "pullback of sigma_j along x_0 equals the kernel of left "

@@ -62,6 +62,43 @@ def sigma(m, i):
     return relation_to_congruence(m, relation_from_subset(m, (0, i)))
 
 
+def relation_of_pairs(m, pairs):
+    """Relation through the public constructor, its rows read off a set
+    of pairs."""
+    rows = [0] * m.order
+    for s, t in pairs:
+        rows[s] |= 1 << t
+    return Relation(m, tuple(rows))
+
+
+def reference_relation_from_subset(m, members):
+    """The pairs relation_from_subset built before relations were rows:
+    s ~ t when {p*s} and {q*t}, p and q among the members, meet."""
+    n = m.order
+    reach = [frozenset(m.table[p][s] for p in members) for s in range(n)]
+    return frozenset((s, t) for s in range(n) for t in range(n) if reach[s] & reach[t])
+
+
+def reference_pullback_relation(m, tau, u):
+    """The pairs pullback_relation built by the holds scan: (s, t) with
+    (u*s, u*t) in tau."""
+    holds = tau.together if isinstance(tau, RightCongruence) else tau.holds
+    n, row = m.order, m.table[u]
+    return frozenset((s, t) for s in range(n) for t in range(n) if holds(row[s], row[t]))
+
+
+def reference_relation(c):
+    """The pairs RightCongruence.relation built: every pair in a class."""
+    return frozenset((s, t) for cls in c.classes for s in cls for t in cls)
+
+
+def subset_relations(m):
+    """relation_from_subset of every member set P with 0 in P."""
+    for r in range(m.order):
+        for rest in itertools.combinations(range(1, m.order), r):
+            yield relation_from_subset(m, (0,) + rest)
+
+
 def brute_homs(a, b):
     out = []
     for img in itertools.product(range(b.size), repeat=a.size):
@@ -223,6 +260,23 @@ class TestRelations:
         assert diag.classes == ((0,), (1,), (2,))
         assert full_congruence(RZ2).classes == ((0, 1, 2),)
 
+    def test_relation_rows(self):
+        rel = Relation(RZ2, (0b011, 0b011, 0b100))
+        assert rel.pairs == {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)}
+        assert rel.holds(1, 0) and not rel.holds(0, 2)
+        assert not any(rel.holds(s, t) for s, t in [(-1, 2), (2, -1), (3, 0), (0, 3)])
+        assert rel == relation_from_subset(RZ2, (0, 1))
+        assert Relation(RZ2, (0, 0, 0)).pairs == frozenset()
+
+    @pytest.mark.parametrize("rows", [
+        (1, 2), (1, 2, 4, 8), (), (1, 0b1000, 4), (1, -1, 4), (1, 2.0, 4), (1, "2", 4),
+        (1, None, 4),
+    ], ids=["too-few", "too-many", "empty", "mask-2**n", "negative", "float", "str",
+            "none"])
+    def test_relation_constructor_rejects(self, rows):
+        with pytest.raises(ValueError):
+            Relation(RZ2, rows)
+
 
 def scan_compatibility_witness(m, rel):
     """The lexicographic scan is_right_congruence ran before it used the
@@ -282,6 +336,7 @@ class TestAgainstHoldsScan:
                 for r in range(n):
                     for rest in itertools.combinations(range(1, n), r):
                         rel = relation_from_subset(m, (0,) + rest)
+                        assert rel.pairs == reference_relation_from_subset(m, (0,) + rest)
                         got = is_right_congruence(m, rel)
                         assert got == reference_is_right_congruence(m, rel)
                         kind = got[1] and got[1][0]
@@ -299,15 +354,14 @@ class TestAgainstHoldsScan:
          "transitivity", (0, 2, 1)),
     ])
     def test_each_law_names_its_witness(self, pairs, kind, witness):
-        rel = Relation(RZ2, frozenset(pairs))
+        rel = relation_of_pairs(RZ2, pairs)
         assert is_right_congruence(RZ2, rel) == (False, (kind, witness))
         assert reference_is_right_congruence(RZ2, rel) == (False, (kind, witness))
 
     def test_compatibility_witness(self):
         # every partition of RZ2 is right compatible; 1 ~ x0 in Q23 is not,
         # since 1*x0 = x0 and x0*x0 = x0^2 are apart
-        rel = Relation(Q23, frozenset({(s, s) for s in range(Q23.order)}
-                                      | {(0, 1), (1, 0)}))
+        rel = relation_of_pairs(Q23, {(s, s) for s in range(Q23.order)} | {(0, 1), (1, 0)})
         want = (False, ("compatibility", (0, 1, 1)))
         assert is_right_congruence(Q23, rel) == want
         assert reference_is_right_congruence(Q23, rel) == want
@@ -321,7 +375,7 @@ def random_equivalence(m, rng):
     for _ in range(1, m.order):
         rgs.append(rng.randrange(min(cap, max(rgs) + 2)))
     n = range(m.order)
-    return Relation(m, frozenset((s, t) for s in n for t in n if rgs[s] == rgs[t]))
+    return relation_of_pairs(m, {(s, t) for s in n for t in n if rgs[s] == rgs[t]})
 
 
 class TestCompatibilityWitness:
@@ -420,6 +474,24 @@ class TestPullback:
                 lhs = pullback_relation(m, pullback_relation(m, tau, u), v)
                 rhs = pullback_relation(m, tau, m.mul(u, v))
                 assert lhs.pairs == rhs.pairs
+
+    def test_pullbacks_match_holds_scan(self):
+        # every right congruence and every subset relation of every
+        # monoid of order <= 4, and the order s <= t, which is not
+        # symmetric, pulled back along every u
+        pulled = 0
+        for n in range(1, 5):
+            for m in enumerate_monoids(n):
+                congs = all_right_congruences(m)
+                for c in congs:
+                    assert c.relation().pairs == reference_relation(c)
+                order = relation_of_pairs(m, {(s, t) for s in range(n) for t in range(s, n)})
+                for tau in congs + list(subset_relations(m)) + [order]:
+                    for u in range(n):
+                        assert (pullback_relation(m, tau, u).pairs
+                                == reference_pullback_relation(m, tau, u))
+                        pulled += 1
+        assert pulled == 9790
 
     def test_pullback_of_congruence_is_congruence(self):
         for m in (RZ2, RZ3, Q23):
@@ -624,6 +696,8 @@ def rechecked(obj):
         return Act(obj.monoid, obj.elements, obj.action)
     if isinstance(obj, ActMap):
         return ActMap(rechecked(obj.source), rechecked(obj.target), obj.image)
+    if isinstance(obj, Relation):
+        return Relation(obj.monoid, obj.rows)
     return RightCongruence(obj.monoid, obj.classes)
 
 
@@ -641,11 +715,20 @@ class TestTrustedPath:
             assert [c.class_of for c in congs] == sorted(c.class_of for c in congs)
             brute = []
             for p in brute_partitions(list(range(m.order))):
-                rel = Relation(m, frozenset(
-                    (s, t) for blk in p for s in blk for t in blk))
+                rel = relation_of_pairs(m, {(s, t) for blk in p for s in blk for t in blk})
                 if is_right_congruence(m, rel)[0]:
                     brute.append(tuple(sorted(tuple(sorted(b)) for b in p)))
             assert sorted(c.classes for c in congs) == sorted(brute)
+
+    def test_relations_pass_public_checks(self):
+        # congruence relations, subset relations and the pullbacks of
+        # both along every u
+        for m in trusted_range():
+            rels = [c.relation() for c in all_right_congruences(m)]
+            rels += subset_relations(m)
+            rels += [pullback_relation(m, rel, u) for rel in rels for u in range(m.order)]
+            for rel in rels:
+                assert rechecked(rel) == rel
 
     def test_closures_and_quotients_pass_public_checks(self):
         for m in trusted_range():
@@ -733,3 +816,4 @@ class TestTrustedPath:
                                    left_kernel(m, x0)]
                 for c, public in zip(shared, rebuilt, strict=True):
                     assert c == public and c.class_of == public.class_of
+                assert rechecked(qiao_rho(m)) == qiao_rho(m)

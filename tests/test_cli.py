@@ -270,6 +270,60 @@ class TestCheck:
         assert capsys.readouterr().err == "error: JSON document is nested too deeply\n"
 
 
+# a name the decoder accepts but that echoes as 1800 characters
+DEEP_NAME = "[" * 900 + "]" * 900
+LONG = "n" * 1000
+HUGE = 10 ** 300
+S_DOC = act_to_doc(regular_act(RZ2))
+
+
+class TestLongValuesQuotedShort:
+    """Error messages quote document values through reprlib, so a long
+    value gives one short error line; short values print in full."""
+
+    @pytest.mark.parametrize("text", [
+        '{"nodes": [' + DEEP_NAME + '], "acts": {}, "arrows": {}}',
+        json.dumps({"nodes": [LONG + "a", LONG + "b"],
+                    "acts": {LONG + "a": S_DOC, LONG + "b": S_DOC}, "arrows": {}}),
+        json.dumps({"nodes": [LONG + "a", LONG + "b", LONG + "c"],
+                    "acts": {LONG + k: S_DOC for k in "abc"},
+                    "arrows": {f"{LONG}a,{LONG}b": [1, 1, 2], f"{LONG}b,{LONG}c": [1, 1, 2],
+                               f"{LONG}a,{LONG}c": [0, 1, 2]}}),
+        json.dumps({"nodes": ["a", "b"], "acts": {"a": S_DOC, "b": S_DOC},
+                    "arrows": {"a,b": [0, 1, HUGE]}}),
+        json.dumps({"nodes": ["a", "b"], "acts": {"a": S_DOC, "b": S_DOC},
+                    "arrows": {f"a,b{LONG}": 5}}),
+        json.dumps({"monoid": monoid_to_doc(RZ2), "action": [[0, HUGE, 0]]}),
+        json.dumps({"table": [[0, 1], [1, HUGE]]}),
+    ], ids=["deep-node-name", "not-directed", "incoherent", "image", "arrow-key",
+            "action", "table"])
+    def test_one_short_line(self, tmp_path, text, capsys):
+        p = tmp_path / "long.json"
+        p.write_text(text)
+        assert main(["check", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"nodes": ["a", "b"], "acts": {"a": S_DOC}, "arrows": {}}, "node 'b' has no act"),
+        ({"nodes": ["a", "b"], "acts": {"a": S_DOC, "b": S_DOC}, "arrows": {}},
+         "nodes 'a' and 'b' have no common upper bound"),
+        ({"nodes": ["a", "b", "c"], "acts": {k: S_DOC for k in "abc"},
+          "arrows": {"a,b": [1, 1, 2], "b,c": [1, 1, 2], "a,c": [0, 1, 2]}},
+         "arrow composition 'a'->'b'->'c' disagrees with 'a'->'c'"),
+        ({"nodes": ["a", "b"], "acts": {"a": S_DOC, "b": S_DOC}, "arrows": {"a,b": [0, 1, 7]}},
+         "image[2] = 7 out of range"),
+        ({"monoid": monoid_to_doc(RZ2), "action": [[0, 3, 0]]}, "action[0][1] = 3 out of range"),
+        ({"table": [[0, 1], [1, 2]]}, "table entry [1][1] = 2 is out of range"),
+    ], ids=["no-act", "not-directed", "incoherent", "image", "action", "table"])
+    def test_short_values_print_in_full(self, tmp_path, doc, message, capsys):
+        p = tmp_path / "short.json"
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def run(argv):
     """(exit code, stdout, stderr) of one in-process call."""
     out, err = io.StringIO(), io.StringIO()

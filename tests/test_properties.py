@@ -16,7 +16,6 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from actcovers import (  # noqa: E402
     Act,
     FinXSystem,
-    Relation,
     all_right_congruences,
     build_from_table,
     cocones,
@@ -46,6 +45,7 @@ from actcovers.kruml import _append  # noqa: E402
 from test_acts import (  # noqa: E402
     classes_of,
     reference_is_right_congruence,
+    relation_of_pairs,
     scan_right_congruences,
 )
 from test_colimit import family_images, product_cocones, union_find_colimit  # noqa: E402
@@ -278,7 +278,7 @@ def test_relation_laws_match_holds_scan():
         toggled = data.draw(st.sets(st.tuples(point, point), max_size=3), label="toggled")
         if data.draw(st.booleans(), label="mirrored"):
             toggled |= {(t, s) for s, t in toggled}
-        rel = Relation(m, frozenset(pairs ^ toggled))
+        rel = relation_of_pairs(m, pairs ^ toggled)
         got = is_right_congruence(m, rel)
         assert got == reference_is_right_congruence(m, rel)
         kinds.add(got[1] and got[1][0])
