@@ -17,11 +17,10 @@ rows[s] set iff s ~ t), read bit by bit: each pass costs O(pairs).
 from __future__ import annotations
 
 import itertools
-import reprlib
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .errors import BudgetExceededError, EmptySeedError
+from .errors import BudgetExceededError, EmptySeedError, _quote
 from .monoid import Monoid
 
 DEFAULT_BUDGET = 10**6
@@ -58,7 +57,7 @@ class Act:
         for x, row in enumerate(self.action):
             for s, y in enumerate(row):
                 if not isinstance(y, int) or not 0 <= y < nx:
-                    raise ValueError(f"action[{x}][{s}] = {reprlib.repr(y)} out of range")
+                    raise ValueError(f"action[{x}][{s}] = {_quote(y)} out of range")
         t = self.monoid.table
         for x in range(nx):
             if self.action[x][0] != x:
@@ -91,7 +90,7 @@ class ActMap:
             raise ValueError("image must list one target index per source element")
         for x, y in enumerate(self.image):
             if not isinstance(y, int) or not 0 <= y < self.target.size:
-                raise ValueError(f"image[{x}] = {reprlib.repr(y)} out of range")
+                raise ValueError(f"image[{x}] = {_quote(y)} out of range")
         for x in range(self.source.size):
             for s in range(self.source.monoid.order):
                 if self.image[self.source.action[x][s]] != self.target.action[self.image[x]][s]:
@@ -133,12 +132,13 @@ class Relation:
     rows: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
         n = self.monoid.order
         if len(self.rows) != n:
             raise ValueError(f"a relation needs {n} rows, got {len(self.rows)}")
         for s, row in enumerate(self.rows):
             if not isinstance(row, int) or not 0 <= row < 1 << n:
-                raise ValueError(f"relation row {s} = {reprlib.repr(row)} out of range")
+                raise ValueError(f"relation row {s} = {_quote(row)} out of range")
 
     @property
     def pairs(self) -> frozenset:
@@ -295,27 +295,21 @@ def is_right_congruence(m: Monoid, rel: Relation):
     ("transitivity", (s, t, u)) with s~t, t~u but not s~u, or
     ("compatibility", (s, t, u)) with s~t but not s*u ~ t*u.
 
-    The laws are decided on the row masks, read bit by bit.  A reflexive
-    relation is an equivalence exactly when each distinct row is the row
-    of each of its members; up to the first mismatch the rows read are
-    disjoint, so that test reads at most n + 1 bits.  Only a relation
-    failing it is scanned in lexicographic order: for each s~t,
-    symmetry fails when row t lacks s, and transitivity at the lowest
-    set bit of rows[t] & ~rows[s].
+    The laws are decided on the row masks, read bit by bit in
+    lexicographic order: for each s~t, symmetry fails when row t lacks
+    s, and transitivity at the lowest set bit of rows[t] & ~rows[s].
     """
     rows = rel.rows
     for s, row in enumerate(rows):
         if not row >> s & 1:
             return False, ("reflexivity", (s,))
-    distinct = tuple(set(rows))
-    if any(rows[t] != distinct[i] for i, t in _pairs(distinct)):
-        for s, t in _pairs(rows):
-            if not rows[t] >> s & 1:
-                return False, ("symmetry", (s, t))
-        for s, t in _pairs(rows):
-            bad = rows[t] & ~rows[s]
-            if bad:
-                return False, ("transitivity", (s, t, _low(bad)))
+    for s, t in _pairs(rows):
+        if not rows[t] >> s & 1:
+            return False, ("symmetry", (s, t))
+    for s, t in _pairs(rows):
+        bad = rows[t] & ~rows[s]
+        if bad:
+            return False, ("transitivity", (s, t, _low(bad)))
     # with r < s related, (s, t, u) failing makes (r, s, u) or (r, t, u)
     # fail, so the class scan finds the lexicographic witness
     bad = _compatibility_failure(m.table, _canonical(map(_low, rows)))

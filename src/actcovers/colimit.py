@@ -11,13 +11,12 @@ out of the top.  Universality is checked by enumerating every cocone.
 from __future__ import annotations
 
 import itertools
-import reprlib
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .acts import (DEFAULT_BUDGET, Act, ActMap, _canonical, _trusted, disjoint_union,
                    homs, identity_map)
-from .errors import IncoherentArrowsError, NotDirectedError
+from .errors import IncoherentArrowsError, NotDirectedError, _quote
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,6 @@ def make_system(nodes, order_pairs, acts, arrows) -> DirectedSystem:
 
 def validate_system(system: DirectedSystem) -> None:
     """Check poset laws, directedness, and arrow coherence exhaustively."""
-    show = reprlib.repr  # node names come from documents: quote them short
     nodes = system.nodes
     if not nodes:
         raise ValueError("a system needs at least one node")
@@ -65,16 +63,17 @@ def validate_system(system: DirectedSystem) -> None:
     node_set = set(nodes)
     for i, j in system.order:
         if i not in node_set or j not in node_set:
-            raise ValueError(f"order pair ({show(i)}, {show(j)}) uses unknown nodes")
+            raise ValueError(f"order pair ({_quote(i)}, {_quote(j)}) uses unknown nodes")
         if (j, i) in system.order:
-            raise ValueError(f"order is not antisymmetric at ({show(i)}, {show(j)})")
+            raise ValueError(f"order is not antisymmetric at ({_quote(i)}, {_quote(j)})")
     for i, j in system.order:
         for k in nodes:
             if system.leq(j, k) and not system.leq(i, k):
-                raise ValueError(f"order is not transitive at ({show(i)},{show(j)},{show(k)})")
+                raise ValueError("order is not transitive at "
+                                 f"({_quote(i)},{_quote(j)},{_quote(k)})")
     for i in nodes:
         if i not in system.acts:
-            raise ValueError(f"node {show(i)} has no act")
+            raise ValueError(f"node {_quote(i)} has no act")
     monoid = system.acts[nodes[0]].monoid
     for i in nodes:
         if system.acts[i].monoid != monoid:
@@ -86,12 +85,12 @@ def validate_system(system: DirectedSystem) -> None:
                     raise NotDirectedError(i, j)
     for (i, j), f in system.arrows.items():
         if not system.leq(i, j) or i == j:
-            raise ValueError(f"arrow for non-strict pair ({show(i)}, {show(j)})")
+            raise ValueError(f"arrow for non-strict pair ({_quote(i)}, {_quote(j)})")
         if f.source != system.acts[i] or f.target != system.acts[j]:
-            raise ValueError(f"arrow ({show(i)}, {show(j)}) has wrong endpoints")
+            raise ValueError(f"arrow ({_quote(i)}, {_quote(j)}) has wrong endpoints")
     for i, j in system.order:
         if (i, j) not in system.arrows:
-            raise ValueError(f"missing arrow for pair ({show(i)}, {show(j)})")
+            raise ValueError(f"missing arrow for pair ({_quote(i)}, {_quote(j)})")
     for i in nodes:
         for j in nodes:
             for k in nodes:

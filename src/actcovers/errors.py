@@ -8,6 +8,11 @@ from __future__ import annotations
 
 import reprlib
 
+# quotes document values in messages, cut short; strings up to 80 characters print whole
+_short = reprlib.Repr()
+_short.maxstring = 80
+_quote = _short.repr
+
 
 class ActcoversError(Exception):
     """Base class for all library-specific errors."""
@@ -30,7 +35,7 @@ class NoIdentityError(ActcoversError):
 class BadIndexError(ActcoversError):
     def __init__(self, row: int, col: int, value: object):
         self.cell = (row, col, value)
-        super().__init__(f"table entry [{row}][{col}] = {reprlib.repr(value)} is out of range")
+        super().__init__(f"table entry [{row}][{col}] = {_quote(value)} is out of range")
 
 
 class EmptySemigroupError(ActcoversError):
@@ -75,14 +80,14 @@ class MonoidTooLargeError(ActcoversError):
 class NotDirectedError(ActcoversError):
     def __init__(self, i: object, j: object):
         self.pair = (i, j)
-        i, j = map(reprlib.repr, (i, j))
+        i, j = map(_quote, (i, j))
         super().__init__(f"nodes {i} and {j} have no common upper bound")
 
 
 class IncoherentArrowsError(ActcoversError):
     def __init__(self, i: object, j: object, k: object):
         self.triple = (i, j, k)
-        i, j, k = map(reprlib.repr, (i, j, k))
+        i, j, k = map(_quote, (i, j, k))
         super().__init__(f"arrow composition {i}->{j}->{k} disagrees with {i}->{k}")
 
 

@@ -10,12 +10,12 @@ arrow keys "i,j".
 from __future__ import annotations
 
 import json
-import reprlib
 from pathlib import Path
 from typing import Union
 
 from .acts import Act, ActMap
 from .colimit import DirectedSystem, make_system
+from .errors import _quote
 from .monoid import Monoid, build_from_table
 
 
@@ -71,7 +71,10 @@ def _resolve_monoid(field, base: Union[Path, None]) -> Monoid:
         path = Path(field)
         if base is not None and not path.is_absolute():
             path = base / path
-        return monoid_from_doc(_read_json(path))
+        try:
+            return monoid_from_doc(_read_json(path))
+        except OSError as exc:
+            raise ValueError(f"cannot read monoid {_quote(field)}: {exc.strerror}") from None
     return monoid_from_doc(field)
 
 
@@ -110,7 +113,7 @@ def system_from_doc(doc: dict, base: Union[Path, None] = None) -> DirectedSystem
     arrows = {}
     for key, image in doc["arrows"].items():
         if not isinstance(image, list):
-            raise ValueError(f"arrow {reprlib.repr(key)} image must be a list")
+            raise ValueError(f"arrow {_quote(key)} image must be a list")
         i, j = (part.strip() for part in str(key).split(","))
         arrows[(i, j)] = ActMap(acts[i], acts[j], tuple(image))
     order = []

@@ -267,6 +267,8 @@ class TestRelations:
         assert not any(rel.holds(s, t) for s, t in [(-1, 2), (2, -1), (3, 0), (0, 3)])
         assert rel == relation_from_subset(RZ2, (0, 1))
         assert Relation(RZ2, (0, 0, 0)).pairs == frozenset()
+        listed = Relation(RZ2, [0b011, 0b011, 0b100])
+        assert listed.rows == rel.rows and listed == rel and hash(listed) == hash(rel)
 
     @pytest.mark.parametrize("rows", [
         (1, 2), (1, 2, 4, 8), (), (1, 0b1000, 4), (1, -1, 4), (1, 2.0, 4), (1, "2", 4),

@@ -275,6 +275,8 @@ DEEP_NAME = "[" * 900 + "]" * 900
 LONG = "n" * 1000
 HUGE = 10 ** 300
 S_DOC = act_to_doc(regular_act(RZ2))
+# ordinary names longer than the default reprlib cut, equal at both ends
+NORTH, SOUTH = "sensor_cluster_north_stage_01", "sensor_cluster_south_stage_01"
 
 
 class TestLongValuesQuotedShort:
@@ -295,20 +297,24 @@ class TestLongValuesQuotedShort:
                     "arrows": {f"a,b{LONG}": 5}}),
         json.dumps({"monoid": monoid_to_doc(RZ2), "action": [[0, HUGE, 0]]}),
         json.dumps({"table": [[0, 1], [1, HUGE]]}),
+        json.dumps(dict(S_DOC, monoid=LONG * 5)),
     ], ids=["deep-node-name", "not-directed", "incoherent", "image", "arrow-key",
-            "action", "table"])
+            "action", "table", "monoid-path"])
     def test_one_short_line(self, tmp_path, text, capsys):
         p = tmp_path / "long.json"
         p.write_text(text)
         assert main(["check", str(p)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert len(err.encode()) < 200
+        # at most five quoted values of at most 80 characters each
+        assert len(err.encode()) < 500
 
     @pytest.mark.parametrize("doc,message", [
         ({"nodes": ["a", "b"], "acts": {"a": S_DOC}, "arrows": {}}, "node 'b' has no act"),
         ({"nodes": ["a", "b"], "acts": {"a": S_DOC, "b": S_DOC}, "arrows": {}},
          "nodes 'a' and 'b' have no common upper bound"),
+        ({"nodes": [NORTH, SOUTH], "acts": {NORTH: S_DOC, SOUTH: S_DOC}, "arrows": {}},
+         f"nodes '{NORTH}' and '{SOUTH}' have no common upper bound"),
         ({"nodes": ["a", "b", "c"], "acts": {k: S_DOC for k in "abc"},
           "arrows": {"a,b": [1, 1, 2], "b,c": [1, 1, 2], "a,c": [0, 1, 2]}},
          "arrow composition 'a'->'b'->'c' disagrees with 'a'->'c'"),
@@ -316,7 +322,10 @@ class TestLongValuesQuotedShort:
          "image[2] = 7 out of range"),
         ({"monoid": monoid_to_doc(RZ2), "action": [[0, 3, 0]]}, "action[0][1] = 3 out of range"),
         ({"table": [[0, 1], [1, 2]]}, "table entry [1][1] = 2 is out of range"),
-    ], ids=["no-act", "not-directed", "incoherent", "image", "action", "table"])
+        (dict(S_DOC, monoid="missing.json"),
+         "cannot read monoid 'missing.json': No such file or directory"),
+    ], ids=["no-act", "not-directed", "names-differing-in-the-middle", "incoherent",
+            "image", "action", "table", "missing-monoid"])
     def test_short_values_print_in_full(self, tmp_path, doc, message, capsys):
         p = tmp_path / "short.json"
         p.write_text(json.dumps(doc))
