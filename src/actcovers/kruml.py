@@ -111,6 +111,9 @@ def right_cancellation_counterexamples(max_index: int) -> list[tuple[int, int, i
 def normal_words(max_len: int, max_index: int):
     """All normal-form words up to the given length and index bound, in
     depth-first prefix order: each word right before its extensions."""
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+
     def rec(prefix: tuple, low: int, remaining: int):
         yield prefix
         if remaining == 0:
@@ -118,7 +121,7 @@ def normal_words(max_len: int, max_index: int):
         for i in range(low, max_index + 1):
             yield from rec(prefix + (i,), i, remaining - 1)
 
-    yield from rec((), 0, max_len)
+    return rec((), 0, max_len)
 
 
 @dataclass(frozen=True)

@@ -377,19 +377,24 @@ def _random_word(rng: random.Random) -> tuple:
     return tuple(rng.randint(0, 8) for _ in range(rng.randint(0, 10)))
 
 
-def _insertion_orders(fs: FinXSystem, small: tuple, missing: tuple, w: tuple):
-    """Yield (order, word) for each order of inserting the missing labels
-    into small, in itertools.permutations order, where word is the
-    normal word w pushed one label at a time.  The orders form a
-    depth-first tree, so orders sharing a prefix share its pushes."""
-    if not missing:
-        yield (), w
-        return
-    for k, z in enumerate(missing):
-        nxt = tuple(sorted(small + (z,), key=fs._rank.get))
-        for order, word in _insertion_orders(
-                fs, nxt, missing[:k] + missing[k + 1:], fs._push(small, nxt, w)):
-            yield (z,) + order, word
+def _insertion_tree(fs: FinXSystem, small: tuple, missing: tuple):
+    """The orders of inserting the missing labels into small, as a tree:
+    node 0 is small, steps[k] = (parent, cur, nxt) is the edge into node
+    k + 1, adding one label to parent's ground-ordered subset cur, and
+    leaves lists (node, order) in itertools.permutations order.  Orders
+    sharing a prefix share its edges, so a word is pushed once per edge."""
+    steps, leaves = [], []
+
+    def grow(node, cur, rest, order):
+        if not rest:
+            leaves.append((node, order))
+        for k, z in enumerate(rest):
+            nxt = tuple(sorted(cur + (z,), key=fs._rank.get))
+            steps.append((node, cur, nxt))
+            grow(len(steps), nxt, rest[:k] + rest[k + 1:], order + (z,))
+
+    grow(0, small, missing, ())
+    return steps, leaves
 
 
 def run_kruml(seed: int, samples: int = 1000) -> ScenarioReport:
@@ -468,10 +473,16 @@ def run_kruml(seed: int, samples: int = 1000) -> ScenarioReport:
         smalls = [s for s in subsets if set(s) <= set(large)]
         for small in smalls:
             missing = tuple(z for z in large if z not in small)
+            # the tree depends only on the pair; each word walks its
+            # edges, one _push each, then every leaf meets canonical
+            steps, leaves = _insertion_tree(fs, small, missing)
             for w in words4:
                 canonical = fs._push(small, large, w)
-                for order, word in _insertion_orders(fs, small, missing, w):
-                    if word != canonical:
+                words = [w]
+                for parent, cur, nxt in steps:
+                    words.append(fs._push(cur, nxt, words[parent]))
+                for node, order in leaves:
+                    if words[node] != canonical:
                         path_bad = (small, large, order, list(w))
                         break
                 if path_bad:

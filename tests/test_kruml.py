@@ -164,6 +164,12 @@ class TestNormalWords:
         assert len(words) == len(set(words))
         assert all(is_normal(w) for w in words)
 
+    def test_negative_length_rejected(self):
+        # raised at the call, before any word is asked for
+        with pytest.raises(ValueError):
+            normal_words(-1, 0)
+        assert list(normal_words(0, 3)) == [()]
+
 
 class TestFinXSystem:
     FS = FinXSystem(("x", "y", "z", "t"))

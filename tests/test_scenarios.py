@@ -258,6 +258,46 @@ class TestKrumlWitnessOrder:
         assert _kruml_witness("equalizes the letter maps") == (False, want)
 
 
+class TestKrumlInsertionTree:
+    def test_every_pair(self):
+        fs = FinXSystem(("x", "y", "z", "t"))
+        subsets = [c for r in range(5) for c in combinations(fs.ground, r)]
+        for large in subsets:
+            for small in [s for s in subsets if set(s) <= set(large)]:
+                missing = tuple(z for z in large if z not in small)
+                steps, leaves = scenarios._insertion_tree(fs, small, missing)
+                assert [order for _, order in leaves] == list(permutations(missing))
+                nodes = [small] + [nxt for _, _, nxt in steps]
+                for parent, cur, nxt in steps:
+                    assert cur == nodes[parent]
+                    assert len(nxt) == len(cur) + 1 and set(cur) < set(nxt)
+                for sub in nodes:
+                    assert sub == tuple(z for z in fs.ground if z in sub)
+                for leaf, order in leaves:
+                    assert nodes[leaf] == large
+                    # the path up from a leaf inserts its order, last first
+                    inserted, node = [], leaf
+                    while node:
+                        parent, cur, nxt = steps[node - 1]
+                        inserted += set(nxt) - set(cur)
+                        node = parent
+                    assert tuple(reversed(inserted)) == order
+
+    def test_one_push_per_edge(self, monkeypatch):
+        # 81 pairs x 126 words canonical pushes, 126 x 312 tree edges, and
+        # 508 from the cocone and injection assertions
+        calls = []
+        push = FinXSystem._push
+
+        def counted(self, small, large, w):
+            calls.append(None)
+            return push(self, small, large, w)
+
+        monkeypatch.setattr(FinXSystem, "_push", counted)
+        assert run_kruml(0, KRUML_SAMPLE_FLOOR).passed
+        assert len(calls) == 81 * 126 + 126 * 312 + 508 == 50026
+
+
 class TestLemma:
     def test_passes_with_counts_in_desc(self):
         rep = run_lemma(3)
