@@ -27,17 +27,19 @@ DEFAULT_BUDGET = 10**6
 
 
 def _trusted(cls, *fields):
-    """Instance of a frozen dataclass with its fields set, unchecked.
+    """Instance of a slotted frozen dataclass with its slots filled in
+    field order, unchecked.
 
     For objects the library builds from parts it has already validated;
     the public constructors keep every check.
     """
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, fields))
+    for fill, value in zip(_FILL[cls], fields):
+        fill(obj, value)
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Act:
     """Finite right act; action[x][s] is the index of x acted on by s."""
 
@@ -75,7 +77,7 @@ class Act:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActMap:
     """Equivariant map between two acts over the same monoid."""
 
@@ -112,19 +114,12 @@ class ActMap:
         return (self.source.size == self.target.size
                 and len(set(self.image)) == self.target.size)
 
-    def kernel_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Partition of the source elements by equal image."""
-        fibers: dict[int, list[int]] = {}
-        for x, y in enumerate(self.image):
-            fibers.setdefault(y, []).append(x)
-        return canonical_partition(fibers.values())
-
 
 def identity_map(a: Act) -> ActMap:
     return _trusted(ActMap, a, a, tuple(range(a.size)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     """Binary relation on a monoid: bit t of rows[s] is set iff s ~ t."""
 
@@ -154,7 +149,7 @@ def canonical_partition(classes: Iterable[Iterable[int]]) -> tuple[tuple[int, ..
     return tuple(normal)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RightCongruence:
     """Partition of S stable under right multiplication.
 
@@ -201,6 +196,11 @@ class RightCongruence:
     def relation(self) -> Relation:
         masks = [sum(1 << x for x in c) for c in self.classes]
         return _trusted(Relation, self.monoid, tuple(map(masks.__getitem__, self._class_of)))
+
+
+# each class's slot setters in field order; they bypass the frozen __setattr__
+_FILL = {c: tuple(c.__dict__[f].__set__ for f in c.__dataclass_fields__)
+         for c in (Act, ActMap, Relation, RightCongruence)}
 
 
 def _compatibility_failure(table, class_of) -> Optional[tuple[int, int, int]]:
@@ -578,11 +578,15 @@ def all_right_congruences(m: Monoid) -> list[RightCongruence]:
     Backtracks over restricted growth strings, which are exactly the
     canonical class vectors, so the output order is deterministic and
     needs no sort.  Each compatibility check (x, y, x*u, y*u), with
-    x < y and x*u != y*u, runs as soon as the largest of its four
-    elements has a class, and a prefix is cut when it relates x and y
-    but not their products.  Checks whose products are x and y again
-    (u = 1 among them) always hold and are dropped.  Intended for
-    monoids of desk size.
+    x < y and x*u != y*u, is filed under the largest of its four
+    elements, i; checks whose products are x and y again (u = 1 among
+    them) always hold and are dropped.  Once the prefix below i is
+    fixed, a check with y = i forbids i the class of x when the
+    products, with i in that class, lie apart; a check with a product
+    equal to i forces i into the class of the other product when x and
+    y are together.  Each node works out its forbidden classes and its
+    forced class once, then tries the allowed classes in ascending
+    order.  Intended for monoids of desk size.
 
     The class lists grow with the prefix: position i joins class v (or
     opens the class [i]) before the search goes deeper and leaves it on
@@ -594,42 +598,53 @@ def all_right_congruences(m: Monoid) -> list[RightCongruence]:
     if n == 1:
         return [_congruence(m, (0,))]
     t = m.table
-    checks = [set() for _ in range(n)]
+    forbid = [set() for _ in range(n)]
+    force = [set() for _ in range(n)]
     for x in range(n):
         for y in range(x + 1, n):
             for xu, yu in zip(t[x], t[y]):
-                pair = (min(xu, yu), max(xu, yu))
-                if xu != yu and pair != (x, y):
-                    checks[max(y, xu, yu)].add((x, y) + pair)
-    checks = [tuple(c) for c in checks]
+                p, q = min(xu, yu), max(xu, yu)
+                if p == q or (p, q) == (x, y):
+                    continue
+                if q > y:
+                    force[q].add((x, y, p))
+                else:
+                    forbid[y].add((x, p, x if q == y else q))
     last = n - 1
     rgs = [0] * n
     classes = [[0]]
     found = []
+    new, (monoid_, classes_, class_of_) = object.__new__, _FILL[RightCongruence]
 
     def rec(i: int, top: int):
+        allowed = range(top + 2)
+        if force[i] or forbid[i]:
+            forced = {rgs[p] for x, y, p in force[i] if rgs[x] == rgs[y]}
+            if len(forced) > 1:
+                return
+            banned = {rgs[x] for x, p, q in forbid[i] if rgs[p] != rgs[q]}
+            allowed = [v for v in forced or allowed if v not in banned]
         if i == last:
             pre = tuple(map(tuple, classes))
             vec = tuple(rgs[:last])
-        for v in range(top + 2):
+            for v in allowed:
+                c = new(RightCongruence)
+                monoid_(c, m)
+                classes_(c, pre + ((i,),) if v > top
+                         else pre[:v] + (pre[v] + (i,),) + pre[v + 1:])
+                class_of_(c, vec + (v,))
+                found.append(c)
+            return
+        for v in allowed:
             rgs[i] = v
-            for x, y, xu, yu in checks[i]:
-                if rgs[x] == rgs[y] and rgs[xu] != rgs[yu]:
-                    break
+            if v > top:
+                classes.append([i])
+                rec(i + 1, v)
+                classes.pop()
             else:
-                if i == last:
-                    cs = (pre + ((i,),) if v > top
-                          else pre[:v] + (pre[v] + (i,),) + pre[v + 1:])
-                    found.append(_trusted(RightCongruence, m, cs, vec + (v,)))
-                elif v > top:
-                    classes.append([i])
-                    rec(i + 1, v)
-                    classes.pop()
-                else:
-                    classes[v].append(i)
-                    rec(i + 1, top)
-                    classes[v].pop()
+                classes[v].append(i)
+                rec(i + 1, top)
+                classes[v].pop()
 
     rec(1, 0)
     return found
-

@@ -2,13 +2,16 @@
 
 Hom sets and congruence lists are cross-checked against raw brute-force
 enumerations (all functions / all set partitions), computed before the
-frozen literals below were written down.  The prefix-pruned congruence
-search is also checked against the whole-string scan it replaced:
-every restricted growth string, kept when the library's compatibility
-check passes.
+frozen literals below were written down.  The congruence search, which
+prunes each prefix by the classes its checks forbid or force, is also
+checked against the whole-string scan it replaced: every restricted
+growth string, kept when the library's compatibility check passes.
 """
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -47,7 +50,7 @@ from actcovers import (
     right_zero_adjoin_one,
     subact_closure,
 )
-from actcovers.acts import _checked_congruence, _compatibility_failure
+from actcovers.acts import _checked_congruence, _compatibility_failure, _trusted
 from actcovers.scenarios import left_kernel, qiao_rho, qiao_sigmas
 from test_acceptance import scenario_systems
 from test_flatness import rz2_acts
@@ -203,11 +206,6 @@ class TestActValidation:
         th = one_element_act(RZ2)
         p = projection_to_one(S)
         assert p.after(identity_map(S)).image == p.image
-
-    def test_kernel_classes(self):
-        S = regular_act(RZ2)
-        p = projection_to_one(S)
-        assert p.kernel_classes() == ((0, 1, 2),)
 
 
 class TestRelations:
@@ -423,6 +421,8 @@ class TestCongruenceEnumeration:
         assert lib == brute_right_congruences(m)
 
     @pytest.mark.parametrize("m,count", [
+        pytest.param(right_zero_adjoin_one(8), 21147, id="rightzero8"),  # Bell(9)
+        pytest.param(qiao_wei_truncated(3, 4), 254, id="qiaowei(3,4)"),
         pytest.param(qiao_wei_truncated(4, 4), 3672, id="qiaowei(4,4)"),
         pytest.param(qiao_wei_truncated(4, 5), 4586, id="qiaowei(4,5)"),
     ])
@@ -516,7 +516,6 @@ class TestQuotients:
     def test_quotient_map_is_epi(self):
         qm = quotient_map(RZ2, sigma(RZ2, 1))
         assert qm.is_epimorphism
-        assert qm.kernel_classes() == sigma(RZ2, 1).classes
 
     def test_canonical_projection_requires_refinement(self):
         s1 = sigma(RZ2, 1)
@@ -819,3 +818,74 @@ class TestTrustedPath:
                 for c, public in zip(shared, rebuilt, strict=True):
                     assert c == public and c.class_of == public.class_of
                 assert rechecked(qiao_rho(m)) == qiao_rho(m)
+
+
+def trusted_objects(m):
+    """Objects of the four slotted types built on the library's trusted
+    paths: the congruence search, closures, relations, pullbacks,
+    quotients, projections, composites and hom sets."""
+    congs = all_right_congruences(m)
+    congs += [congruence_closure(m, [(s, t)])
+              for s, t in itertools.combinations(range(m.order), 2)]
+    rels = [c.relation() for c in congs] + list(subset_relations(m))
+    rels += [pullback_relation(m, rel, u) for rel in rels[:8] for u in range(m.order)]
+    acts = [regular_act(m), one_element_act(m)]
+    maps = [identity_map(acts[0]), projection_to_one(acts[0])]
+    for c in congs:
+        q = quotient_act(m, c)
+        acts.append(q)
+        maps += [quotient_map(m, c), canonical_projection(m, c, full_congruence(m))]
+        maps.append(maps[-1].after(maps[-2]))
+    acts.append(disjoint_union(acts[:3]))
+    maps += homs(acts[2], acts[-2])
+    return congs + rels + acts + maps
+
+
+class TestSlottedTypes:
+    """Act, ActMap, Relation and RightCongruence are frozen dataclasses
+    with slots: no instance dict, no assignment, and the trusted path
+    builds objects equal to the checked ones."""
+
+    MONOIDS = [RZ2, RZ3, Q23, SEMILATTICE]
+
+    @pytest.mark.parametrize("m", MONOIDS, ids=lambda m: str(m.order))
+    def test_no_instance_dict_and_no_assignment(self, m):
+        for obj in trusted_objects(m):
+            assert not hasattr(obj, "__dict__")
+            for f in dataclasses.fields(obj):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, f.name, getattr(obj, f.name))
+
+    @pytest.mark.parametrize("m", MONOIDS, ids=lambda m: str(m.order))
+    def test_trusted_objects_equal_their_rebuilds(self, m):
+        kinds = set()
+        for obj in trusted_objects(m):
+            public = rechecked(obj)
+            assert public == obj and hash(public) == hash(obj)
+            if isinstance(obj, RightCongruence):
+                assert public.class_of == obj.class_of
+            kinds.add(type(obj))
+        assert kinds == {Act, ActMap, Relation, RightCongruence}
+
+    def test_trusted_matches_public_constructor(self):
+        s = regular_act(RZ2)
+        c = sigma(RZ2, 1)
+        q = quotient_act(RZ2, c)
+        for trusted, public in [
+            (_trusted(Act, RZ2, s.elements, s.action), Act(RZ2, s.elements, s.action)),
+            (_trusted(ActMap, s, q, c.class_of), ActMap(s, q, c.class_of)),
+            (_trusted(Relation, RZ2, c.relation().rows), Relation(RZ2, c.relation().rows)),
+            (_trusted(RightCongruence, RZ2, c.classes, c.class_of),
+             RightCongruence(RZ2, c.classes)),
+        ]:
+            assert trusted == public and hash(trusted) == hash(public)
+            assert dataclasses.astuple(trusted) == dataclasses.astuple(public)
+
+    @pytest.mark.parametrize("m", MONOIDS, ids=lambda m: str(m.order))
+    def test_deepcopy_and_pickle_round_trip(self, m):
+        for obj in trusted_objects(m):
+            for twin in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+                assert type(twin) is type(obj)
+                assert twin == obj and hash(twin) == hash(obj)
+                assert all(getattr(twin, f.name) == getattr(obj, f.name)
+                           for f in dataclasses.fields(obj))
