@@ -11,13 +11,16 @@ types: several constructions (for instance the p*s = q*t relation
 induced by a submonoid) produce relations that are not transitive, and
 the failure itself is informative, so converting to a congruence is an
 explicit, validated step.  A relation is kept as row masks (bit t of
-rows[s] set iff s ~ t), read bit by bit: each pass costs O(pairs).
+rows[s] set iff s ~ t), read bit by bit: each pass costs O(pairs).  A
+right congruence is kept as its canonical class vector alone (class_of[s]
+is the number of the class of s, classes numbered by least member);
+class lists are derived from it on demand.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, EmptySeedError, _quote
@@ -143,59 +146,57 @@ class Relation:
         return 0 <= s < len(self.rows) and t >= 0 and bool(self.rows[s] >> t & 1)
 
 
-def canonical_partition(classes: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """Members sorted within classes, classes sorted by least member."""
-    normal = sorted(tuple(sorted(c)) for c in classes)
-    return tuple(normal)
-
-
 @dataclass(frozen=True, slots=True)
 class RightCongruence:
-    """Partition of S stable under right multiplication.
+    """Partition of S stable under right multiplication, as its class
+    vector: class_of[s] numbers the class of s, classes numbered in
+    order of their least member (a restricted growth string).
 
-    classes is canonical: members ascending, classes ordered by least
-    member.  The constructor validates both the partition property and
-    right compatibility; congruences the library computes itself are
+    The constructor validates the vector's length, its canonical
+    numbering and right compatibility; congruence_from_partition builds
+    one from class lists.  Congruences the library computes itself are
     built without the re-check.
     """
 
     monoid: Monoid
-    classes: tuple[tuple[int, ...], ...]
-    _class_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    class_of: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "class_of", tuple(self.class_of))
         n = self.monoid.order
-        seen: list[int] = []
-        for c in self.classes:
-            if not c:
-                raise ValueError("empty congruence class")
-            seen.extend(c)
-        if sorted(seen) != list(range(n)):
-            raise ValueError("classes must partition the monoid")
-        if self.classes != canonical_partition(self.classes):
-            raise ValueError("classes must be in canonical order")
-        cls = [0] * n
-        for ci, c in enumerate(self.classes):
-            for x in c:
-                cls[x] = ci
-        bad = _compatibility_failure(self.monoid.table, cls)
+        if len(self.class_of) != n:
+            raise ValueError(f"a class vector needs {n} entries, got {len(self.class_of)}")
+        top = -1
+        for s, c in enumerate(self.class_of):
+            if not isinstance(c, int) or not 0 <= c <= top + 1:
+                raise ValueError(f"class_of[{s}] = {_quote(c)} is not canonical")
+            top = max(top, c)
+        bad = _compatibility_failure(self.monoid.table, self.class_of)
         if bad is not None:
             rep, x, u = bad
             raise ValueError(
                 f"not right compatible: pair ({rep},{x}) breaks at u={u}"
             )
-        object.__setattr__(self, "_class_of", tuple(cls))
 
     @property
-    def class_of(self) -> tuple[int, ...]:
-        return self._class_of
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """Canonical class lists: members ascending, classes ordered by
+        least member."""
+        classes: list[list[int]] = [[] for _ in range(max(self.class_of) + 1)]
+        for x, c in enumerate(self.class_of):
+            classes[c].append(x)
+        return tuple(map(tuple, classes))
 
     def together(self, s: int, t: int) -> bool:
-        return self._class_of[s] == self._class_of[t]
+        cls = self.class_of
+        return 0 <= s < len(cls) and 0 <= t < len(cls) and cls[s] == cls[t]
 
     def relation(self) -> Relation:
-        masks = [sum(1 << x for x in c) for c in self.classes]
-        return _trusted(Relation, self.monoid, tuple(map(masks.__getitem__, self._class_of)))
+        cls = self.class_of
+        masks = [0] * (max(cls) + 1)
+        for x, c in enumerate(cls):
+            masks[c] |= 1 << x
+        return _trusted(Relation, self.monoid, tuple(map(masks.__getitem__, cls)))
 
 
 # each class's slot setters in field order; they bypass the frozen __setattr__
@@ -228,17 +229,24 @@ def _canonical(keys: Iterable) -> tuple[int, ...]:
     return tuple(number.setdefault(k, len(number)) for k in keys)
 
 
-def _congruence(m: Monoid, class_of: tuple[int, ...]) -> RightCongruence:
-    """Trusted congruence from a canonical, right compatible class vector
-    (classes numbered in order of first member, as the dict lists them)."""
-    classes: dict[int, list[int]] = {}
-    for x, c in enumerate(class_of):
-        classes.setdefault(c, []).append(x)
-    return _trusted(RightCongruence, m, tuple(map(tuple, classes.values())), class_of)
+def _least_members(class_of) -> list[int]:
+    """The least member of each class of a canonical class vector, in
+    class order."""
+    return [class_of.index(c) for c in range(max(class_of) + 1)]
 
 
 def congruence_from_partition(m: Monoid, classes: Iterable[Iterable[int]]) -> RightCongruence:
-    return RightCongruence(m, canonical_partition(classes))
+    """Validated congruence from class lists in any order."""
+    classes = [tuple(c) for c in classes]
+    if not all(classes):
+        raise ValueError("empty congruence class")
+    if sorted(x for c in classes for x in c) != list(range(m.order)):
+        raise ValueError("classes must partition the monoid")
+    least = [0] * m.order
+    for c in classes:
+        for x in c:
+            least[x] = min(c)
+    return RightCongruence(m, _canonical(least))
 
 
 def full_congruence(m: Monoid) -> RightCongruence:
@@ -327,7 +335,7 @@ def relation_to_congruence(m: Monoid, rel: Relation) -> RightCongruence:
 
 def _checked_congruence(m: Monoid, rel: Relation) -> RightCongruence:
     """Trusted congruence of a relation that passed is_right_congruence."""
-    return _congruence(m, _canonical(map(_low, rel.rows)))
+    return _trusted(RightCongruence, m, _canonical(map(_low, rel.rows)))
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -356,14 +364,15 @@ def congruence_closure(m: Monoid, seed: Iterable[tuple[int, int]]) -> RightCongr
     if not work:
         raise EmptySeedError("congruence closure needs at least one seed pair")
     n = m.order
+    for pair in work:
+        if not all(isinstance(x, int) and 0 <= x < n for x in pair):
+            raise ValueError(f"seed pair {_quote(pair)} out of range")
     parent = list(range(n))
     while work:
         s, t = work.pop()
         if _union(parent, s, t):
             work.extend(zip(m.table[s], m.table[t]))
-    return _congruence(m, _canonical([_find(parent, x) for x in range(n)]))
-
-
+    return _trusted(RightCongruence, m, _canonical([_find(parent, x) for x in range(n)]))
 
 def pullback_relation(m: Monoid, tau, u: int) -> Relation:
     """Relation  s ~ t  iff  (u*s, u*t) lies in tau.
@@ -413,14 +422,12 @@ def disjoint_union(acts: Sequence[Act], tags: Optional[Sequence[str]] = None) ->
 
 
 def quotient_act(m: Monoid, sigma: RightCongruence) -> Act:
-    """Cyclic act S/sigma; classes are labelled by their least member."""
-    labels = tuple(f"[{m.label(c[0])}]" for c in sigma.classes)
+    """Cyclic act S/sigma; each class is labelled by its least member and
+    acts through it."""
     cls = sigma.class_of
-    action = tuple(
-        tuple(cls[m.table[c[0]][u]] for u in range(m.order))
-        for c in sigma.classes
-    )
-    return _trusted(Act, m, labels, action)
+    reps = _least_members(cls)
+    return _trusted(Act, m, tuple(f"[{m.label(r)}]" for r in reps),
+                    tuple(tuple([cls[y] for y in m.table[r]]) for r in reps))
 
 
 def quotient_map(m: Monoid, sigma: RightCongruence) -> ActMap:
@@ -430,13 +437,10 @@ def quotient_map(m: Monoid, sigma: RightCongruence) -> ActMap:
 
 def canonical_projection(m: Monoid, sigma: RightCongruence, rho: RightCongruence) -> ActMap:
     """Projection S/sigma -> S/rho when sigma refines rho."""
-    image = []
-    for c in sigma.classes:
-        targets = {rho.class_of[x] for x in c}
-        if len(targets) != 1:
-            raise ValueError("sigma does not refine rho")
-        image.append(targets.pop())
-    return _trusted(ActMap, quotient_act(m, sigma), quotient_act(m, rho), tuple(image))
+    image = tuple(rho.class_of[r] for r in _least_members(sigma.class_of))
+    if any(image[c] != d for c, d in zip(sigma.class_of, rho.class_of)):
+        raise ValueError("sigma does not refine rho")
+    return _trusted(ActMap, quotient_act(m, sigma), quotient_act(m, rho), image)
 
 
 def projection_to_one(a: Act) -> ActMap:
@@ -444,20 +448,13 @@ def projection_to_one(a: Act) -> ActMap:
 
 
 def subact_closure(a: Act, seed: Iterable[int]) -> tuple[int, ...]:
-    """Indices of the least subact containing the seed elements."""
+    """Indices of the least subact containing the seed elements: the
+    union of the orbits x*S, each a subact already since x*1 = x and
+    (x*s)*t = x*(s*t)."""
     seed = list(seed)
     if not seed:
         raise EmptySeedError("subact closure needs a nonempty seed")
-    seen = set(seed)
-    frontier = list(seed)
-    while frontier:
-        x = frontier.pop()
-        for s in range(a.monoid.order):
-            y = a.action[x][s]
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return tuple(sorted(seen))
+    return tuple(sorted(set().union(*(a.action[x] for x in seed))))
 
 
 def generating_set(a: Act) -> tuple[int, ...]:
@@ -512,18 +509,16 @@ def homs(a: Act, b: Act, budget: int = DEFAULT_BUDGET) -> list[ActMap]:
     return [_trusted(ActMap, a, b, f) for f in _hom_images(a, b, budget)]
 
 
-def _hom_images(a: Act, b: Act, budget: int, bijective: bool = False):
-    """Image tuples of the maps a -> b (only the bijections when asked),
-    in lexicographic order of the generator images."""
+def _hom_images(a: Act, b: Act, budget: int):
+    """Image tuples of the maps a -> b, in lexicographic order of the
+    generator images."""
     gens = generating_set(a)
     needed = b.size ** len(gens)
     if needed > budget:
         raise BudgetExceededError(needed, budget)
     for images in itertools.product(range(b.size), repeat=len(gens)):
-        if bijective and len(set(images)) != len(images):
-            continue
         f = _extend(a, b, gens, images)
-        if f is not None and (not bijective or len(set(f)) == a.size):
+        if f is not None:
             yield f
 
 
@@ -549,7 +544,7 @@ def are_isomorphic(a: Act, b: Act, budget: int = DEFAULT_BUDGET) -> Optional[Act
         return None
     if _translation_profile(a) != _translation_profile(b):
         return None
-    f = next(_hom_images(a, b, budget, bijective=True), None)
+    f = next((f for f in _hom_images(a, b, budget) if len(set(f)) == a.size), None)
     return None if f is None else _trusted(ActMap, a, b, f)
 
 
@@ -586,17 +581,13 @@ def all_right_congruences(m: Monoid) -> list[RightCongruence]:
     equal to i forces i into the class of the other product when x and
     y are together.  Each node works out its forbidden classes and its
     forced class once, then tries the allowed classes in ascending
-    order.  Intended for monoids of desk size.
-
-    The class lists grow with the prefix: position i joins class v (or
-    opens the class [i]) before the search goes deeper and leaves it on
-    return.  The last position is done in one loop per parent, whose
-    classes and class vector are frozen once and shared by every
-    congruence that loop emits.
+    order.  The last position is done in one loop per parent, which
+    freezes the prefix once and emits prefix + (v,) for each allowed v.
+    Intended for monoids of desk size.
     """
     n = m.order
     if n == 1:
-        return [_congruence(m, (0,))]
+        return [_trusted(RightCongruence, m, (0,))]
     t = m.table
     forbid = [set() for _ in range(n)]
     force = [set() for _ in range(n)]
@@ -612,9 +603,8 @@ def all_right_congruences(m: Monoid) -> list[RightCongruence]:
                     forbid[y].add((x, p, x if q == y else q))
     last = n - 1
     rgs = [0] * n
-    classes = [[0]]
     found = []
-    new, (monoid_, classes_, class_of_) = object.__new__, _FILL[RightCongruence]
+    new, (monoid_, class_of_) = object.__new__, _FILL[RightCongruence]
 
     def rec(i: int, top: int):
         allowed = range(top + 2)
@@ -625,26 +615,16 @@ def all_right_congruences(m: Monoid) -> list[RightCongruence]:
             banned = {rgs[x] for x, p, q in forbid[i] if rgs[p] != rgs[q]}
             allowed = [v for v in forced or allowed if v not in banned]
         if i == last:
-            pre = tuple(map(tuple, classes))
             vec = tuple(rgs[:last])
             for v in allowed:
                 c = new(RightCongruence)
                 monoid_(c, m)
-                classes_(c, pre + ((i,),) if v > top
-                         else pre[:v] + (pre[v] + (i,),) + pre[v + 1:])
                 class_of_(c, vec + (v,))
                 found.append(c)
             return
         for v in allowed:
             rgs[i] = v
-            if v > top:
-                classes.append([i])
-                rec(i + 1, v)
-                classes.pop()
-            else:
-                classes[v].append(i)
-                rec(i + 1, top)
-                classes[v].pop()
+            rec(i + 1, max(v, top))
 
     rec(1, 0)
     return found

@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .acts import (DEFAULT_BUDGET, Act, ActMap, _canonical, _trusted, disjoint_union,
-                   homs, identity_map)
+from .acts import (DEFAULT_BUDGET, Act, ActMap, _canonical, _least_members, _trusted,
+                   disjoint_union, homs, identity_map)
 from .errors import IncoherentArrowsError, NotDirectedError, _quote
 
 
@@ -129,7 +129,7 @@ def compute_colimit(system: DirectedSystem) -> ColimitResult:
     union = disjoint_union([system.acts[i] for i in system.nodes])
     start = dict(zip(system.nodes, itertools.accumulate(sizes, initial=0)))
     cls = _canonical(y for i in system.nodes for y in system.arrow(i, top).image)
-    reps = [cls.index(c) for c in range(max(cls) + 1)]
+    reps = _least_members(cls)
     act = _trusted(Act, union.monoid, tuple(union.elements[r] for r in reps),
                    tuple(tuple([cls[y] for y in union.action[r]]) for r in reps))
     injections = {

@@ -128,8 +128,8 @@ def is_strongly_flat(a: Act) -> FlatnessReport:
 
 def _cyclic_strongly_flat(sigma: RightCongruence) -> bool:
     """Whether S/sigma is strongly flat: every pair x sigma y needs some
-    u sigma 1 with u*x = u*y.  The class of 1 is the first class."""
-    t = sigma.monoid.table
-    rows = [t[u] for u in sigma.classes[0]]
+    u sigma 1 with u*x = u*y.  The class of 1 is class 0."""
+    t, cls = sigma.monoid.table, sigma.class_of
+    rows = [t[u] for u, c in enumerate(cls) if c == 0]
     return all(any(r[x] == r[y] for r in rows)
-               for c in sigma.classes for x, y in itertools.combinations(c, 2))
+               for x, y in itertools.combinations(range(len(cls)), 2) if cls[x] == cls[y])

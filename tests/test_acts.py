@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 
@@ -231,6 +232,16 @@ class TestRelations:
         c = congruence_from_partition(RZ2, ((2, 1), (0,)))
         assert c.classes == ((0,), (1, 2))
 
+    @pytest.mark.parametrize("classes, match", [
+        (((0, 1), (), (2,)), "empty congruence class"),
+        (((0, 1),), "classes must partition the monoid"),
+        (((0, 1), (1, 2)), "classes must partition the monoid"),
+        (((0, 1), (2, 3)), "classes must partition the monoid"),
+    ])
+    def test_partition_errors(self, classes, match):
+        with pytest.raises(ValueError, match=match):
+            congruence_from_partition(RZ2, classes)
+
     def test_right_compatibility_rejected(self):
         # {1, z1} both-sided with {z2} alone is fine, but {1} {z1} {z2}
         # merged wrongly is not: {1, z2} with z1 is a congruence too, so
@@ -252,6 +263,44 @@ class TestRelations:
     def test_congruence_closure_empty_seed(self):
         with pytest.raises(EmptySeedError):
             congruence_closure(RZ2, [])
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, 9), (0, "1")])
+    def test_congruence_closure_rejects_bad_indices(self, pair):
+        with pytest.raises(ValueError, match=f"seed pair {re.escape(repr(pair))}"):
+            congruence_closure(RZ2, [(0, 1), pair])
+
+    def test_together_agrees_with_relation(self):
+        for c in (congruence_from_partition(RZ2, [[0], [1], [2]]), sigma(RZ2, 1),
+                  full_congruence(RZ2)):
+            rel = c.relation()
+            for s in range(-4, 5):
+                for t in range(-4, 5):
+                    assert c.together(s, t) == rel.holds(s, t), (c, s, t)
+
+    @pytest.mark.parametrize("class_of, match", [
+        ((0, 0), "needs 3 entries, got 2"),
+        ((0, 0, 0, 0), "needs 3 entries, got 4"),
+        ((0, "0", 1), r"class_of\[1\] = '0' is not canonical"),
+        ((0, 1.0, 1), r"class_of\[1\] = 1.0 is not canonical"),
+        ((1, 0, 0), r"class_of\[0\] = 1 is not canonical"),
+        ((0, 2, 1), r"class_of\[1\] = 2 is not canonical"),
+        ((0, -1, 0), r"class_of\[1\] = -1 is not canonical"),
+    ])
+    def test_constructor_rejects_bad_vectors(self, class_of, match):
+        with pytest.raises(ValueError, match=match):
+            RightCongruence(RZ2, class_of)
+
+    def test_constructor_rejects_incompatible_vector(self):
+        # every partition of RZ2 is a right congruence; on Q23, 1 with x0
+        # apart from the rest breaks at u = x0: 1*x0 = x0 but x0*x0 = x0^2
+        with pytest.raises(ValueError, match=r"pair \(0,1\) breaks at u=1"):
+            RightCongruence(Q23, (0, 0, 1, 1, 1, 1, 1))
+
+    def test_constructor_takes_the_class_vector(self):
+        assert [f.name for f in dataclasses.fields(RightCongruence)] == ["monoid", "class_of"]
+        c = RightCongruence(RZ2, [0, 1, 1])
+        assert c.class_of == (0, 1, 1) and c.classes == ((0,), (1, 2))
+        assert c == congruence_from_partition(RZ2, ((2, 1), (0,)))
 
     def test_diagonal_and_full(self):
         diag = congruence_from_partition(RZ2, [[i] for i in range(RZ2.order)])
@@ -684,11 +733,13 @@ def trusted_range():
 
 
 def public_congruence(m, rel):
-    """RightCongruence through the validating constructor, its classes
-    read off the relation."""
+    """RightCongruence through the validating constructor, its class
+    vector read off the relation: each s is numbered by the class of the
+    least t related to it."""
     n = m.order
-    return RightCongruence(m, tuple(sorted(
-        {tuple(t for t in range(n) if rel.holds(s, t)) for s in range(n)})))
+    least = [min(t for t in range(n) if rel.holds(s, t)) for s in range(n)]
+    reps = sorted(set(least))
+    return RightCongruence(m, tuple(reps.index(r) for r in least))
 
 
 def rechecked(obj):
@@ -699,7 +750,7 @@ def rechecked(obj):
         return ActMap(rechecked(obj.source), rechecked(obj.target), obj.image)
     if isinstance(obj, Relation):
         return Relation(obj.monoid, obj.rows)
-    return RightCongruence(obj.monoid, obj.classes)
+    return RightCongruence(obj.monoid, obj.class_of)
 
 
 class TestTrustedPath:
@@ -875,8 +926,8 @@ class TestSlottedTypes:
             (_trusted(Act, RZ2, s.elements, s.action), Act(RZ2, s.elements, s.action)),
             (_trusted(ActMap, s, q, c.class_of), ActMap(s, q, c.class_of)),
             (_trusted(Relation, RZ2, c.relation().rows), Relation(RZ2, c.relation().rows)),
-            (_trusted(RightCongruence, RZ2, c.classes, c.class_of),
-             RightCongruence(RZ2, c.classes)),
+            (_trusted(RightCongruence, RZ2, c.class_of),
+             RightCongruence(RZ2, c.class_of)),
         ]:
             assert trusted == public and hash(trusted) == hash(public)
             assert dataclasses.astuple(trusted) == dataclasses.astuple(public)

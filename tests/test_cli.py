@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -212,7 +213,7 @@ class TestCheck:
 
     @pytest.mark.parametrize("image", [[1.0, 1, 2], "012", 5])
     def test_bad_arrow_image(self, tmp_path, system_file, image, capsys):
-        doc = json.loads(open(system_file).read())
+        doc = json.loads(Path(system_file).read_text())
         doc["arrows"]["0,1"] = image
         p = tmp_path / "bad_arrow.json"
         p.write_text(json.dumps(doc))
@@ -236,7 +237,7 @@ class TestCheck:
         ("system", "order", [["0", {"1": 1}]]),
     ])
     def test_field_of_wrong_type(self, request, tmp_path, kind, field, value, capsys):
-        doc = json.loads(open(request.getfixturevalue(f"{kind}_file")).read())
+        doc = json.loads(Path(request.getfixturevalue(f"{kind}_file")).read_text())
         doc[field] = value
         p = tmp_path / "bad_field.json"
         p.write_text(json.dumps(doc))
@@ -262,7 +263,7 @@ class TestCheck:
 
     def test_over_deep_monoid_path(self, tmp_path, theta_file, capsys):
         (tmp_path / "deep.json").write_text("[" * self.DEEP + "]" * self.DEEP)
-        doc = json.loads(open(theta_file).read())
+        doc = json.loads(Path(theta_file).read_text())
         doc["monoid"] = "deep.json"
         p = tmp_path / "act.json"
         p.write_text(json.dumps(doc))

@@ -8,6 +8,9 @@ module is skipped.  Runs are derandomized and keep no example database,
 so every run checks the same examples.
 """
 
+import collections
+import itertools
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -92,6 +95,36 @@ def transformation_table(maps, points, max_order):
                 index[c] = len(elems)
                 elems.append(c)
     return [[index[tuple(b[x] for x in a)] for b in elems] for a in elems]
+
+
+def two_map_tables(points, lo, hi):
+    """Distinct tables of order lo..hi of the monoids generated by two
+    maps on the points.  The first map runs over the least map of each
+    conjugacy class, which reaches every two-generated monoid up to a
+    relabelling of the points."""
+    maps = list(itertools.product(range(points), repeat=points))
+    perms = list(itertools.permutations(range(points)))
+
+    def conjugate(f, p):
+        h = [0] * points
+        for x, y in enumerate(f):
+            h[p[x]] = p[y]
+        return tuple(h)
+
+    tables = {}
+    for f in maps:
+        if any(conjugate(f, p) < f for p in perms):
+            continue
+        for g in maps:
+            table = transformation_table((f, g), points, hi)
+            if table is not None and len(table) >= lo:
+                tables.setdefault(tuple(map(tuple, table)), None)
+    return list(tables)
+
+
+# small_monoids draws few monoids of orders 8 and 9, so the congruence
+# search has its own property there
+TABLES_8_9 = two_map_tables(4, 8, SCAN_ORDER)
 
 
 @st.composite
@@ -216,6 +249,20 @@ def test_congruence_search_matches_scan_oracle(m):
     want = scan_right_congruences(m)
     assert [c.class_of for c in got] == want
     assert [c.classes for c in got] == [classes_of(v) for v in want]
+
+
+def test_congruence_search_matches_scan_oracle_on_orders_8_9():
+    orders = collections.Counter()
+
+    @settings(SETTINGS, max_examples=60)
+    @given(st.sampled_from(TABLES_8_9))
+    def check(table):
+        m = build_from_table(["1"] + [f"f{i}" for i in range(1, len(table))], table)
+        orders[m.order] += 1
+        assert [c.class_of for c in all_right_congruences(m)] == scan_right_congruences(m)
+
+    check()
+    assert set(orders) == {8, 9}, orders
 
 
 @SETTINGS
