@@ -454,6 +454,9 @@ def subact_closure(a: Act, seed: Iterable[int]) -> tuple[int, ...]:
     seed = list(seed)
     if not seed:
         raise EmptySeedError("subact closure needs a nonempty seed")
+    for x in seed:
+        if not (isinstance(x, int) and 0 <= x < a.size):
+            raise ValueError(f"seed element {_quote(x)} out of range")
     return tuple(sorted(set().union(*(a.action[x] for x in seed))))
 
 

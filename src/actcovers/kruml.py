@@ -29,7 +29,6 @@ decided by pushing both into the union of their subsets.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -45,12 +44,6 @@ def _prepend(m: int, w: list) -> None:
         m -= 1
         pos += 1
     w.insert(pos, m)
-
-
-def _append(w: KWord, i: int) -> KWord:
-    """The normal form of w*a_i for a normal word w."""
-    p = bisect_right(w, i)
-    return w[:p] + (i,) + tuple([x - 1 for x in w[p:]])
 
 
 def knormalize(word: Sequence[int]) -> KWord:
@@ -108,20 +101,36 @@ def right_cancellation_counterexamples(max_index: int) -> list[tuple[int, int, i
     return out
 
 
+def _append_rows(max_len: int, max_index: int, letters: int):
+    """(w, row) for each word w of normal_words(max_len, max_index), in
+    its order, where row[i] is the normal form of w*a_i for i < letters.
+
+    Each row is built from the parent's: the child c = w + (x,) of w has
+    row entry (normal form of w*a_i) + (x - 1,) for i < x, since a_i
+    moves left past x, which drops by one, and c + (i,) for i >= x,
+    since i is at least every letter of c.  The walk keeps its own stack, so long words cannot
+    exhaust the interpreter's recursion limit.
+    """
+    ones = [(i,) for i in range(letters)]
+    stack = [((), ())]
+    while stack:
+        w, up = stack.pop()
+        x = w[-1] if w else 0
+        down = (x - 1,)
+        row = [r + down for r in up[:x]]
+        row += [w + one for one in ones[x:]]
+        yield w, row
+        if len(w) < max_len:
+            # pushed last letter first, so the least one is walked first
+            stack += [(w + (y,), row) for y in range(max_index, x - 1, -1)]
+
+
 def normal_words(max_len: int, max_index: int):
     """All normal-form words up to the given length and index bound, in
     depth-first prefix order: each word right before its extensions."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-
-    def rec(prefix: tuple, low: int, remaining: int):
-        yield prefix
-        if remaining == 0:
-            return
-        for i in range(low, max_index + 1):
-            yield from rec(prefix + (i,), i, remaining - 1)
-
-    return rec((), 0, max_len)
+    return (w for w, _ in _append_rows(max_len, max_index, 0))
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .errors import OrderTooLargeError, TooFewSamplesError
 from .flatness import is_strongly_flat
 from .kruml import (
     FinXSystem,
-    _append,
+    _append_rows,
     is_normal,
     knormalize,
     knormalize_random,
@@ -397,6 +397,53 @@ def _insertion_tree(fs: FinXSystem, small: tuple, missing: tuple):
     return steps, leaves
 
 
+def _lattice_commutes(fs: FinXSystem, subsets: list, words: list) -> bool:
+    """Whether every insertion order from every small subset to every
+    larger one pushes every word to the canonical transition.
+
+    Pushing w from small along each edge of the subset lattice above it
+    once suffices: all paths from small to T agree with the canonical
+    push into T exactly when, for every T, each edge into T carries the
+    canonical word at its source to the canonical word at T."""
+    for small in subsets:
+        above = [t for t in subsets if set(small) <= set(t)]
+        at = {t: k for k, t in enumerate(above)}
+        # the edges into each node, from the nodes one label smaller
+        into = [[(at[p], p) for p in (tuple(y for y in t if y != z)
+                                      for z in t if z not in small)]
+                for t in above]
+        for w in words:
+            reached = []
+            for t, edges in zip(above, into):
+                want = fs._push(small, t, w)
+                for k, p in edges:
+                    if fs._push(p, t, reached[k]) != want:
+                        return False
+                reached.append(want)
+    return True
+
+
+def _least_path_witness(fs: FinXSystem, subsets: list, words: list):
+    """The first (small, large, order, w) whose insertion order misses the
+    canonical push, scanning large, then small, then w, then the orders in
+    itertools.permutations order."""
+    for large in subsets:
+        for small in [s for s in subsets if set(s) <= set(large)]:
+            missing = tuple(z for z in large if z not in small)
+            # the tree depends only on the pair; each word walks its
+            # edges, one _push each, then every leaf meets canonical
+            steps, leaves = _insertion_tree(fs, small, missing)
+            for w in words:
+                canonical = fs._push(small, large, w)
+                pushed = [w]
+                for parent, cur, nxt in steps:
+                    pushed.append(fs._push(cur, nxt, pushed[parent]))
+                for node, order in leaves:
+                    if pushed[node] != canonical:
+                        return (small, large, order, list(w))
+    return None
+
+
 def run_kruml(seed: int, samples: int = 1000) -> ScenarioReport:
     """Rewriting monoid with a_m a_i -> a_i a_{m-1} for m > i: unique
     sorted normal forms, left cancellative, not right cancellative, and
@@ -441,15 +488,14 @@ def run_kruml(seed: int, samples: int = 1000) -> ScenarioReport:
         cancel_bad is None, cancel_bad))
 
     inj_bad = None
-    for w in normal_words(6, 8):
-        seen = {}
-        for i in range(9):
-            r = _append(w, i)
-            if r in seen:
-                inj_bad = (list(w), seen[r], i)
-                break
-            seen[r] = i
-        if inj_bad:
+    for w, row in _append_rows(6, 8, 9):
+        if len(set(row)) < 9:
+            seen = {}
+            for i, r in enumerate(row):
+                if r in seen:
+                    inj_bad = (list(w), seen[r], i)
+                    break
+                seen[r] = i
             break
     out.append(Assertion(
         "appending distinct letters to any normal word of length <= 6 "
@@ -468,33 +514,12 @@ def run_kruml(seed: int, samples: int = 1000) -> ScenarioReport:
     for r in range(5):
         subsets += [tuple(c) for c in combinations(fs.ground, r)]
     words4 = list(normal_words(4, 4))
-    path_bad = None
-    for large in subsets:
-        smalls = [s for s in subsets if set(s) <= set(large)]
-        for small in smalls:
-            missing = tuple(z for z in large if z not in small)
-            # the tree depends only on the pair; each word walks its
-            # edges, one _push each, then every leaf meets canonical
-            steps, leaves = _insertion_tree(fs, small, missing)
-            for w in words4:
-                canonical = fs._push(small, large, w)
-                words = [w]
-                for parent, cur, nxt in steps:
-                    words.append(fs._push(cur, nxt, words[parent]))
-                for node, order in leaves:
-                    if words[node] != canonical:
-                        path_bad = (small, large, order, list(w))
-                        break
-                if path_bad:
-                    break
-            if path_bad:
-                break
-        if path_bad:
-            break
+    path_ok = _lattice_commutes(fs, subsets, words4)
+    path_bad = None if path_ok else _least_path_witness(fs, subsets, words4)
     out.append(Assertion(
         "subset transitions are path independent: any insertion order "
         "gives the same map (exhaustive, |X| <= 4, words of length <= 4)",
-        path_bad is None, path_bad))
+        path_ok, path_bad))
 
     beta_bad = None
     for w in words4:
@@ -521,8 +546,8 @@ def run_kruml(seed: int, samples: int = 1000) -> ScenarioReport:
          list(fs.transition(("y",), ("x", "y"), ()))]))
 
     eq_bad = None
-    for w in normal_words(8, 8):
-        if _append(w, 0) == _append(w, 1):
+    for w, (r0, r1) in _append_rows(8, 8, 2):
+        if r0 == r1:
             eq_bad = list(w)
             break
     out.append(Assertion(

@@ -585,6 +585,17 @@ class TestSubactsAndGenerators:
         assert subact_closure(S, [1]) == (1, 2)
         assert subact_closure(S, [0]) == (0, 1, 2)
 
+    @pytest.mark.parametrize("x", [-1, 3, "1"])
+    def test_closure_rejects_bad_seed(self, x):
+        # -1 would index the last element's orbit and 3 = a.size its end
+        with pytest.raises(ValueError, match=f"^seed element {re.escape(repr(x))} out of range$"):
+            subact_closure(regular_act(RZ2), [1, x])
+
+    def test_closure_accepts_every_valid_seed(self):
+        S = regular_act(RZ2)
+        assert [subact_closure(S, [x]) for x in range(S.size)] == [
+            (0, 1, 2), (1, 2), (1, 2)]
+
     def test_generating_set(self):
         S = regular_act(RZ2)
         assert generating_set(S) == (0,)

@@ -22,7 +22,7 @@ from actcovers import (
     normal_words,
     right_cancellation_counterexamples,
 )
-from actcovers.kruml import _append
+from actcovers.kruml import _append_rows
 
 
 def rightmost_normalize(word):
@@ -124,24 +124,56 @@ class TestMultiplication:
 
 
 class TestAppend:
-    # _append(w, i) is the normal form of w*a_i for a normal word w; its
-    # oracle is knormalize on the concatenation, on every input the kruml
-    # scenario feeds it
+    # _append_rows yields each normal word with the normal forms of w*a_i
+    # built from its parent's row; the oracle is knormalize on the
+    # concatenation, on every input the kruml scenario feeds it
+    @staticmethod
+    def check_rows(max_len, max_index, letters):
+        walked = 0
+        for w, row in _append_rows(max_len, max_index, letters):
+            assert row == [knormalize(w + (i,)) for i in range(letters)], w
+            walked += 1
+        return walked
+
     def test_matches_normalize_on_injectivity_inputs(self):
-        for w in normal_words(6, 8):
-            for i in range(9):
-                assert _append(w, i) == knormalize(w + (i,))
+        assert self.check_rows(6, 8, 9) == 5005
 
     def test_matches_normalize_on_equalizer_inputs(self):
-        for w in normal_words(8, 8):
-            for i in (0, 1):
-                assert _append(w, i) == knormalize(w + (i,))
+        assert self.check_rows(8, 8, 2) == 24310
+
+    def test_matches_normalize_on_all_letters_to_length_8(self):
+        assert self.check_rows(8, 8, 9) == 24310
+
+    def test_matches_normalize_on_long_words(self):
+        # few letters reach long words, where a_i moves far left
+        assert self.check_rows(40, 1, 3) == 861
+        assert self.check_rows(12, 2, 4) == 455
+
+    def test_words_are_normal_words_in_order(self):
+        for args in ((6, 8), (8, 8), (4, 4), (5, 2), (3, -1), (0, 3)):
+            for letters in (0, 2, 9):
+                assert [w for w, _ in _append_rows(*args, letters)] == \
+                    list(normal_words(*args))
 
     def test_frozen_examples(self):
-        assert _append((), 3) == (3,)
-        assert _append((0, 2, 5), 2) == (0, 2, 2, 4)
-        assert _append((1, 1), 0) == (0, 0, 0)
-        assert _append((0, 1), 4) == (0, 1, 4)
+        rows = dict(_append_rows(3, 5, 6))
+        assert rows[()][3] == (3,)
+        assert rows[(0, 2, 5)][2] == (0, 2, 2, 4)
+        assert rows[(1, 1)][0] == (0, 0, 0)
+        assert rows[(0, 1)][4] == (0, 1, 4)
+
+
+def recursive_normal_words(max_len, max_index):
+    # the nested-generator walk normal_words replaced, kept as its order
+    # oracle: it recurses once per letter, so it is only for short words
+    def rec(prefix, low, remaining):
+        yield prefix
+        if remaining == 0:
+            return
+        for i in range(low, max_index + 1):
+            yield from rec(prefix + (i,), i, remaining - 1)
+
+    return rec((), 0, max_len)
 
 
 class TestNormalWords:
@@ -151,6 +183,17 @@ class TestNormalWords:
     @pytest.mark.parametrize("args,count", COUNTS)
     def test_frozen_counts(self, args, count):
         assert sum(1 for _ in normal_words(*args)) == count
+
+    @pytest.mark.parametrize("args", [(8, 8), (6, 8), (4, 4), (3, -1)])
+    def test_order_matches_recursive_walk(self, args):
+        assert list(normal_words(*args)) == list(recursive_normal_words(*args))
+
+    def test_long_words_do_not_recurse(self):
+        # one word per length over a_0 alone; a walk that recursed once per
+        # letter would pass the interpreter's default depth limit of 1000
+        words = list(normal_words(1100, 0))
+        assert len(words) == 1101
+        assert words[-1] == (0,) * 1100
 
     def test_prefix_order_head(self):
         head = list(itertools.islice(normal_words(3, 2), 10))

@@ -44,7 +44,7 @@ from actcovers import (  # noqa: E402
     search_sf_coessential_covers,
     verify_universality,
 )
-from actcovers.kruml import _append  # noqa: E402
+from actcovers.kruml import _append_rows  # noqa: E402
 from test_acts import (  # noqa: E402
     classes_of,
     reference_is_right_congruence,
@@ -164,11 +164,14 @@ def test_knormalize_is_the_rightmost_normal_form(w):
 
 
 @SETTINGS
-@given(st.lists(st.integers(0, 20), max_size=40).map(sorted).map(tuple),
-       st.integers(0, 20))
-def test_append_is_the_normal_form_of_the_product(w, i):
-    # sorted tuples are exactly the normal words
-    assert _append(w, i) == knormalize(w + (i,)) == rightmost_normalize(w + (i,))
+@given(st.integers(0, 5), st.integers(0, 4), st.integers(0, 9))
+def test_append_is_the_normal_form_of_the_product(max_len, max_index, letters):
+    # each row, built from its parent's, against normalizing the product
+    # afresh; letters above and below max_index + 1 both occur
+    for w, row in _append_rows(max_len, max_index, letters):
+        for i, r in enumerate(row):
+            assert r == knormalize(w + (i,)) == rightmost_normalize(w + (i,))
+        assert len(row) == letters
 
 
 @SETTINGS

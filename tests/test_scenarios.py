@@ -217,13 +217,41 @@ class TestKrumlWitnessOrder:
         assert want is not None
         assert _kruml_witness("path independent") == (False, want)
 
+    @pytest.mark.parametrize("small,large,bad_word", [
+        ((), ("x", "y", "z", "t"), None),
+        (("y",), ("y", "z", "t"), (0, 2)),
+        (("x", "t"), ("x", "y", "z", "t"), (4, 4, 4, 4)),
+    ])
+    def test_canonical_push(self, monkeypatch, small, large, bad_word):
+        # only the canonical push across several labels gains a letter, so
+        # every single-label edge still commutes and the lattice check must
+        # catch it by comparing the reached word with the canonical one
+        push = FinXSystem._push
+
+        def broken(self, s, t, w):
+            out = push(self, s, t, w)
+            if (s, t) == (small, large) and bad_word in (None, w):
+                return out + (0,)
+            return out
+
+        monkeypatch.setattr(FinXSystem, "_push", broken)
+        want = nested_path_witness(FinXSystem(("x", "y", "z", "t")))
+        assert want is not None and want[:2] == (small, large)
+        assert _kruml_witness("path independent") == (False, want)
+
     @staticmethod
-    def _perturb_append(monkeypatch, perturb):
-        # run_kruml gets the perturbed _append; the oracle gets the same
-        # perturbation of kmul
-        real = scenarios._append
-        append = perturb(lambda w, v: real(w, v[0]))
-        monkeypatch.setattr(scenarios, "_append", lambda w, k: append(w, (k,)))
+    def _perturb_rows(monkeypatch, perturb):
+        # run_kruml gets the rows of _append_rows, each entry taken through
+        # the perturbed product; the oracle gets the same perturbation of
+        # kmul
+        real = scenarios._append_rows
+
+        def rows(max_len, max_index, letters):
+            for w, row in real(max_len, max_index, letters):
+                product = perturb(lambda u, v: row[v[0]])
+                yield w, [product(w, (i,)) for i in range(letters)]
+
+        monkeypatch.setattr(scenarios, "_append_rows", rows)
         return perturb(kmul)
 
     @pytest.mark.parametrize("length,head,i,j", [(4, (2,), 7, 5), (0, (), 3, 1),
@@ -238,7 +266,7 @@ class TestKrumlWitnessOrder:
                 return mul(w, v)
             return product
 
-        want = injectivity_witness(self._perturb_append(monkeypatch, perturb))
+        want = injectivity_witness(self._perturb_rows(monkeypatch, perturb))
         assert want is not None
         assert _kruml_witness("appending distinct letters") == (False, want)
 
@@ -253,7 +281,7 @@ class TestKrumlWitnessOrder:
                 return mul(w, v)
             return product
 
-        want = equalizer_witness(self._perturb_append(monkeypatch, perturb))
+        want = equalizer_witness(self._perturb_rows(monkeypatch, perturb))
         assert want is not None
         assert _kruml_witness("equalizes the letter maps") == (False, want)
 
@@ -284,8 +312,10 @@ class TestKrumlInsertionTree:
                     assert tuple(reversed(inserted)) == order
 
     def test_one_push_per_edge(self, monkeypatch):
-        # 81 pairs x 126 words canonical pushes, 126 x 312 tree edges, and
-        # 508 from the cocone and injection assertions
+        # 81 pairs x 126 words canonical pushes, 126 words x 108 edges of
+        # the subset lattices above each small subset, and 508 from the
+        # cocone and injection assertions; the insertion trees are built
+        # only when a push fails
         calls = []
         push = FinXSystem._push
 
@@ -295,7 +325,7 @@ class TestKrumlInsertionTree:
 
         monkeypatch.setattr(FinXSystem, "_push", counted)
         assert run_kruml(0, KRUML_SAMPLE_FLOOR).passed
-        assert len(calls) == 81 * 126 + 126 * 312 + 508 == 50026
+        assert len(calls) == 81 * 126 + 126 * 108 + 508 == 24322
 
 
 class TestLemma:
