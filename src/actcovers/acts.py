@@ -501,7 +501,7 @@ def _extend(a: Act, b: Act, gens: tuple[int, ...], images: tuple[int, ...]):
     return tuple(f)
 
 
-def homs(a: Act, b: Act, budget: int = DEFAULT_BUDGET) -> list[ActMap]:
+def homs(a: Act, b: Act) -> list[ActMap]:
     """All equivariant maps a -> b, in deterministic order.
 
     Backtracks over images of a greedy generating set of a; candidates
@@ -509,16 +509,17 @@ def homs(a: Act, b: Act, budget: int = DEFAULT_BUDGET) -> list[ActMap]:
     """
     if a.monoid != b.monoid:
         raise ValueError("acts must share the monoid")
-    return [_trusted(ActMap, a, b, f) for f in _hom_images(a, b, budget)]
+    return [_trusted(ActMap, a, b, f) for f in _hom_images(a, b)]
 
 
-def _hom_images(a: Act, b: Act, budget: int):
+def _hom_images(a: Act, b: Act):
     """Image tuples of the maps a -> b, in lexicographic order of the
-    generator images."""
+    generator images; more than DEFAULT_BUDGET candidates raise before
+    any is tried."""
     gens = generating_set(a)
     needed = b.size ** len(gens)
-    if needed > budget:
-        raise BudgetExceededError(needed, budget)
+    if needed > DEFAULT_BUDGET:
+        raise BudgetExceededError(needed, DEFAULT_BUDGET)
     for images in itertools.product(range(b.size), repeat=len(gens)):
         f = _extend(a, b, gens, images)
         if f is not None:
@@ -535,7 +536,7 @@ def _translation_profile(a: Act):
     return tuple(profile)
 
 
-def are_isomorphic(a: Act, b: Act, budget: int = DEFAULT_BUDGET) -> Optional[ActMap]:
+def are_isomorphic(a: Act, b: Act) -> Optional[ActMap]:
     """First bijective equivariant map a -> b, or None.
 
     Uses translation-image and fixed-point counts as a quick filter,
@@ -547,7 +548,7 @@ def are_isomorphic(a: Act, b: Act, budget: int = DEFAULT_BUDGET) -> Optional[Act
         return None
     if _translation_profile(a) != _translation_profile(b):
         return None
-    f = next((f for f in _hom_images(a, b, budget) if len(set(f)) == a.size), None)
+    f = next((f for f in _hom_images(a, b) if len(set(f)) == a.size), None)
     return None if f is None else _trusted(ActMap, a, b, f)
 
 

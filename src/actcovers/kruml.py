@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NotSubsetError
+from .errors import NotSubsetError, _quote
 
 KWord = tuple  # tuple of int generator indices
 
@@ -50,6 +50,8 @@ def knormalize(word: Sequence[int]) -> KWord:
     """Normal form via one insertion pass, right to left."""
     w = []
     for m in reversed(word):
+        if type(m) is not int:
+            raise ValueError(f"generator index {_quote(m)} is not an int")
         if m < 0:
             raise ValueError("generator indices must be nonnegative")
         _prepend(m, w)

@@ -12,7 +12,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Optional
 
 from .acts import (
@@ -164,11 +164,13 @@ def left_kernel(m, u: int) -> RightCongruence:
 def _pairwise_isomorphic(m, named):
     """(all certified, pairs): each pair of (name, sigma, quotient)
     triples as (name, name, label of the least translation witness u),
-    the label None unless [s] -> [u*s] is also a bijective act map."""
+    the label None unless [s] -> [u*s] is also a bijective act map.  The
+    witness makes that map well defined and equivariant, so it is built
+    unchecked."""
     pairs = []
     for (na, sa, qa), (nb, sb, qb) in combinations(named, 2):
         u = cyclic_iso_witness(m, sa, sb)
-        iso = u is not None and ActMap(qa, qb, tuple(
+        iso = u is not None and _trusted(ActMap, qa, qb, tuple(
             sb.class_of[m.table[u][r]] for r in _least_members(sa.class_of))).is_bijective
         pairs.append((na, nb, m.label(u) if iso else None))
     return all(label is not None for _, _, label in pairs), pairs
@@ -377,26 +379,6 @@ def _random_word(rng: random.Random) -> tuple:
     return tuple(rng.randint(0, 8) for _ in range(rng.randint(0, 10)))
 
 
-def _insertion_tree(fs: FinXSystem, small: tuple, missing: tuple):
-    """The orders of inserting the missing labels into small, as a tree:
-    node 0 is small, steps[k] = (parent, cur, nxt) is the edge into node
-    k + 1, adding one label to parent's ground-ordered subset cur, and
-    leaves lists (node, order) in itertools.permutations order.  Orders
-    sharing a prefix share its edges, so a word is pushed once per edge."""
-    steps, leaves = [], []
-
-    def grow(node, cur, rest, order):
-        if not rest:
-            leaves.append((node, order))
-        for k, z in enumerate(rest):
-            nxt = tuple(sorted(cur + (z,), key=fs._rank.get))
-            steps.append((node, cur, nxt))
-            grow(len(steps), nxt, rest[:k] + rest[k + 1:], order + (z,))
-
-    grow(0, small, missing, ())
-    return steps, leaves
-
-
 def _lattice_commutes(fs: FinXSystem, subsets: list, words: list) -> bool:
     """Whether every insertion order from every small subset to every
     larger one pushes every word to the canonical transition.
@@ -430,16 +412,15 @@ def _least_path_witness(fs: FinXSystem, subsets: list, words: list):
     for large in subsets:
         for small in [s for s in subsets if set(s) <= set(large)]:
             missing = tuple(z for z in large if z not in small)
-            # the tree depends only on the pair; each word walks its
-            # edges, one _push each, then every leaf meets canonical
-            steps, leaves = _insertion_tree(fs, small, missing)
             for w in words:
                 canonical = fs._push(small, large, w)
-                pushed = [w]
-                for parent, cur, nxt in steps:
-                    pushed.append(fs._push(cur, nxt, pushed[parent]))
-                for node, order in leaves:
-                    if pushed[node] != canonical:
+                for order in permutations(missing):
+                    cur, pushed = small, w
+                    for z in order:
+                        nxt = tuple(sorted(cur + (z,), key=fs._rank.get))
+                        pushed = fs._push(cur, nxt, pushed)
+                        cur = nxt
+                    if pushed != canonical:
                         return (small, large, order, list(w))
     return None
 

@@ -49,6 +49,8 @@ from actcovers import (
     relation_from_subset,
     relation_to_congruence,
     right_zero_adjoin_one,
+    run_qiao_wei,
+    run_rightzero,
     subact_closure,
 )
 from actcovers.acts import _checked_congruence, _compatibility_failure, _trusted
@@ -654,11 +656,19 @@ class TestHoms:
         (h,) = homs(a, b)
         assert h.image == (1, 0)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        # six generators with 30 possible images each: 30**6 candidates
+        # exceed the default budget, which raises before any is tried
         S5 = regular_act(right_zero_adjoin_one(4))
-        big = disjoint_union([S5] * 3, ("a", "b", "c"))
+        big = disjoint_union([S5] * 6)
+        assert len(generating_set(big)) == 6 and big.size == 30
+        tried = []
+        monkeypatch.setattr("actcovers.acts._extend", lambda *args: tried.append(args))
+        with pytest.raises(BudgetExceededError, match="needs 729000000 candidates"):
+            homs(big, big)
         with pytest.raises(BudgetExceededError):
-            homs(big, big, budget=2)
+            are_isomorphic(big, big)
+        assert tried == []
 
 
 class TestIsomorphism:
@@ -825,6 +835,27 @@ class TestTrustedPath:
             for (i, j), f in system.arrows.items():
                 composite = result.injections[j].after(f)
                 assert rechecked(composite) == composite
+                assert composite == result.injections[i]
+
+    def test_scenario_bijections_pass_public_checks(self, monkeypatch):
+        # every object the rightzero and qiao-wei scenarios build unchecked,
+        # the bijections from translation witnesses among them, is rebuilt
+        # through its validating constructor
+        built = []
+
+        def recorded(cls, *fields):
+            obj = _trusted(cls, *fields)
+            built.append(obj)
+            return obj
+
+        monkeypatch.setattr("actcovers.scenarios._trusted", recorded)
+        reports = [run_rightzero(n) for n in range(1, 6)]
+        reports += [run_qiao_wei(n, cap) for n in range(1, 4) for cap in range(1, 5)]
+        assert all(rep.passed for rep in reports)
+        bijections = [obj for obj in built if isinstance(obj, ActMap) and obj.is_bijective]
+        assert len(bijections) >= sum(n * (n - 1) // 2 for n in range(1, 6))
+        for obj in built:
+            assert rechecked(obj) == obj
 
     def test_disjoint_unions_pass_public_checks(self):
         parts = (regular_act(RZ2), quotient_act(RZ2, sigma(RZ2, 1)),

@@ -182,31 +182,36 @@ class TestTopNodeAgainstOracles:
 
 
 class TestSystemsWithoutMakeSystem:
-    """DirectedSystem built directly, without validate_system."""
+    """DirectedSystem built directly validates itself as make_system does."""
 
     def test_no_top_node(self):
-        system = DirectedSystem((0, 1), frozenset(), {0: S, 1: S}, {})
-        with pytest.raises(ValueError, match="system has no top node"):
-            compute_colimit(system)
-        with pytest.raises(ValueError, match="system has no top node"):
-            cocones(system, S)
+        with pytest.raises(NotDirectedError):
+            DirectedSystem((0, 1), frozenset(), {0: S, 1: S}, {})
 
     def test_incoherent_arrows_under_a_top(self):
-        system = DirectedSystem(
-            (0, 1, 2), frozenset([(0, 1), (1, 2), (0, 2)]), {0: S, 1: S, 2: S},
-            {(0, 1): LAM_Z1, (1, 2): LAM_Z1, (0, 2): LAM_Z2})
-        for probe in (S, THETA, Q1, disjoint_union([S, THETA])):
-            assert (family_images(cocones(system, probe), system.nodes)
-                    == family_images(product_cocones(system, probe), system.nodes))
-        # the classes follow arrow(0, 2), which the other path disagrees with
-        with pytest.raises(AssertionError, match="fail to commute"):
-            compute_colimit(system)
+        with pytest.raises(IncoherentArrowsError) as exc:
+            DirectedSystem(
+                (0, 1, 2), frozenset([(0, 1), (1, 2), (0, 2)]), {0: S, 1: S, 2: S},
+                {(0, 1): LAM_Z1, (1, 2): LAM_Z1, (0, 2): LAM_Z2})
+        assert exc.value.triple == (0, 1, 2)
 
     def test_top_listed_first(self):
         system = DirectedSystem(
             (2, 0, 1), frozenset([(0, 1), (1, 2), (0, 2)]), {0: S, 1: S, 2: S},
             {(0, 1): LAM_Z1, (1, 2): LAM_Z1, (0, 2): LAM_Z1})
         assert compute_colimit(system) == union_find_colimit(system)
+
+    def test_reflexive_pairs_normalized_like_make_system(self):
+        # a list of nodes, reflexive pairs and arrow pairs as a list: the
+        # fields come out as make_system builds them
+        arrows = {(0, 1): LAM_Z1, (1, 2): LAM_Z1, (0, 2): LAM_Z1}
+        pairs = [(0, 0), (0, 1), (1, 1), (1, 2), (0, 2), (2, 2)]
+        system = DirectedSystem([0, 1, 2], pairs, {0: S, 1: S, 2: S}, arrows)
+        assert system == make_system((0, 1, 2), pairs, {0: S, 1: S, 2: S}, arrows)
+        assert system == chain_system()
+        assert system.nodes == (0, 1, 2)
+        assert system.order == frozenset([(0, 1), (1, 2), (0, 2)])
+        assert system.arrows is not arrows
 
 
 class TestValidation:
@@ -325,8 +330,11 @@ class TestCocones:
         assert len(cocones(chain_system(), THETA)) == 1
 
     def test_budget(self):
+        # six generators with 30 possible images each: 30**6 candidates
+        # for the map out of the top exceed the default budget
+        big = disjoint_union([regular_act(right_zero_adjoin_one(4))] * 6)
         with pytest.raises(BudgetExceededError):
-            cocones(chain_system(), S, budget=2)
+            cocones(make_system(("a",), [], {"a": big}, {}), big)
 
 
 class TestUniversality:

@@ -7,6 +7,7 @@ confluence means the strategies must agree on every input.
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -60,6 +61,16 @@ class TestNormalize:
         # right to left: first, middle and last letters all reach it
         with pytest.raises(ValueError, match="^generator indices must be nonnegative$"):
             knormalize(word)
+
+    @pytest.mark.parametrize("letter", [0.5, True, "1"])
+    def test_non_integer_letter_rejected(self, letter):
+        want = f"^generator index {re.escape(repr(letter))} is not an int$"
+        with pytest.raises(ValueError, match=want):
+            knormalize((letter, 0))
+
+    def test_non_integer_letter_rejected_by_element(self):
+        with pytest.raises(ValueError, match="not an int"):
+            FinXSystem(("x", "y")).element(("x",), (2.5, 1))
 
     def test_output_is_normal(self):
         rng = random.Random(7)

@@ -202,44 +202,68 @@ def test_transition_path_independent(flags, rng, w):
     assert word == fs.transition(small, cur, w)
 
 
-@SETTINGS
-@given(st.data())
-def test_colimits_of_colliding_node_names_are_universal(data):
-    # a chain n0 < n1 < ..., a fan of the other nodes into the last one,
-    # or a diamond n0 < n1, n2 < n3; nodes are listed in a drawn order,
-    # so the top is not always last
+def draw_system(data, pool, names):
+    """A chain n0 < n1 < ..., a fan of the other nodes into the last one,
+    or a diamond n0 < n1, n2 < n3, with node acts drawn from the pool and
+    arrows from their hom sets; nodes are listed in a drawn order, so the
+    top is not always last."""
     shape = data.draw(st.sampled_from(("chain", "fan", "diamond")), label="shape")
-    names = data.draw(st.permutations(NAMES))
+    names = data.draw(st.permutations(names))
     if shape != "diamond":
-        names = names[:data.draw(st.integers(1, len(NAMES)))]
+        names = names[:data.draw(st.integers(1, len(names)))]
     acts, arrows = {}, {}
     if shape == "fan":
-        sink = acts[names[-1]] = data.draw(st.sampled_from(NODE_ACTS))
+        sink = acts[names[-1]] = data.draw(st.sampled_from(pool))
         for i in names[:-1]:
-            acts[i] = data.draw(st.sampled_from([a for a in NODE_ACTS if homs(a, sink)]))
+            acts[i] = data.draw(st.sampled_from([a for a in pool if homs(a, sink)]))
             arrows[(i, names[-1])] = data.draw(st.sampled_from(homs(acts[i], sink)))
     elif shape == "chain":
-        acts[names[0]] = data.draw(st.sampled_from(NODE_ACTS))
+        acts[names[0]] = data.draw(st.sampled_from(pool))
         for k, (i, j) in enumerate(zip(names, names[1:])):
-            acts[j] = data.draw(st.sampled_from([a for a in NODE_ACTS if homs(acts[i], a)]))
+            acts[j] = data.draw(st.sampled_from([a for a in pool if homs(acts[i], a)]))
             step = data.draw(st.sampled_from(homs(acts[i], acts[j])))
             arrows.update({(h, j): step.after(arrows[(h, i)]) for h in names[:k]})
             arrows[(i, j)] = step
     else:
         b, l, r, t = names
-        acts[t] = data.draw(st.sampled_from(NODE_ACTS))
+        acts[t] = data.draw(st.sampled_from(pool))
         for i in (l, r):
-            acts[i] = data.draw(st.sampled_from([a for a in NODE_ACTS if homs(a, acts[t])]))
+            acts[i] = data.draw(st.sampled_from([a for a in pool if homs(a, acts[t])]))
             arrows[(i, t)] = data.draw(st.sampled_from(homs(acts[i], acts[t])))
-        acts[b], arrows[(b, l)], arrows[(b, r)] = data.draw(st.sampled_from([
-            (a, f, g) for a in NODE_ACTS for f in homs(a, acts[l]) for g in homs(a, acts[r])
-            if arrows[(l, t)].after(f) == arrows[(r, t)].after(g)]))
+        # l and r may have disjoint images in t, so that nothing lies below both
+        cones = [(a, f, g) for a in pool for f in homs(a, acts[l]) for g in homs(a, acts[r])
+                 if arrows[(l, t)].after(f) == arrows[(r, t)].after(g)]
+        assume(cones)
+        acts[b], arrows[(b, l)], arrows[(b, r)] = data.draw(st.sampled_from(cones))
         arrows[(b, t)] = arrows[(l, t)].after(arrows[(b, l)])
-    system = make_system(data.draw(st.permutations(names)), list(arrows), acts, arrows)
+    return make_system(data.draw(st.permutations(names)), list(arrows), acts, arrows)
+
+
+@SETTINGS
+@given(st.data())
+def test_colimits_of_colliding_node_names_are_universal(data):
+    system = draw_system(data, NODE_ACTS, NAMES)
     result = compute_colimit(system)
     assert result == union_find_colimit(system)
     assert len(set(result.act.elements)) == result.act.size
     for probe in (S, THETA, Q1):
+        assert verify_universality(system, result, probe)
+        assert (family_images(cocones(system, probe), system.nodes)
+                == family_images(product_cocones(system, probe), system.nodes))
+
+
+@SETTINGS
+@given(small_monoids(), st.data())
+def test_colimits_over_small_monoids_match_oracles(m, data):
+    # node acts over a generated monoid: cocones keeps every family built
+    # from a map out of the top, and the product of all node hom sets,
+    # filtered by the arrows, must give the same families
+    s, theta = regular_act(m), one_element_act(m)
+    pool = [s, theta] + [quotient_act(m, c) for c in all_right_congruences(m)]
+    system = draw_system(data, pool, ("p", "q", "r", "s"))
+    result = compute_colimit(system)
+    assert result == union_find_colimit(system)
+    for probe in (s, theta, data.draw(st.sampled_from(pool), label="probe")):
         assert verify_universality(system, result, probe)
         assert (family_images(cocones(system, probe), system.nodes)
                 == family_images(product_cocones(system, probe), system.nodes))
