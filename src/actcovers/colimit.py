@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple
 
 from .acts import (Act, ActMap, _canonical, _least_members, _trusted, disjoint_union, homs,
                    identity_map)
@@ -27,20 +28,25 @@ class DirectedSystem:
     pairs may be omitted.  arrows maps each strict comparable pair to
     the act map along it (identity arrows are implicit).  The system is
     validated when built, so every system has a top node and coherent
-    arrows.
+    arrows; acts and arrows are read-only views of private copies, so
+    they stay as validated.
     """
 
     nodes: tuple
     order: frozenset
-    acts: Dict[object, Act]
-    arrows: Dict[Tuple[object, object], ActMap]
+    acts: Mapping[object, Act]
+    arrows: Mapping[Tuple[object, object], ActMap]
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "order", frozenset((i, j) for i, j in self.order if i != j))
-        object.__setattr__(self, "acts", dict(self.acts))
-        object.__setattr__(self, "arrows", dict(self.arrows))
+        object.__setattr__(self, "acts", MappingProxyType(dict(self.acts)))
+        object.__setattr__(self, "arrows", MappingProxyType(dict(self.arrows)))
         validate_system(self)
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle: rebuild from plain dicts
+        return DirectedSystem, (self.nodes, self.order, dict(self.acts), dict(self.arrows))
 
     def leq(self, i, j) -> bool:
         return i == j or (i, j) in self.order

@@ -10,11 +10,10 @@ class of interest that is too big to quantify over):
 * g is a cover wrt F when it is a precover and every endomorphism f of
   P with g o f = g is bijective.
 
-The search routine enumerates the right congruences sigma of the
-monoid (acts.all_right_congruences, a prefix-pruned search), drops
-those failing the cyclic strong-flatness criterion on sigma itself,
-and builds S/sigma only for the survivors, keeping those with a
-coessential epimorphism onto the target.
+The search routine takes one candidate congruence per idempotent e of
+the monoid, the kernel of left translation by e: these are exactly the
+sigma with S/sigma strongly flat (see flatness).  It builds S/sigma for
+each and keeps those with a coessential epimorphism onto the target.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .acts import (
     Act,
     ActMap,
     RightCongruence,
-    all_right_congruences,
     cyclic_iso_witness,
     generating_set,
     homs,
@@ -35,7 +33,7 @@ from .acts import (
     subact_closure,
 )
 from .errors import MonoidTooLargeError, NotEpimorphismError
-from .flatness import _cyclic_strongly_flat
+from .flatness import _strongly_flat_congruences
 from .monoid import Monoid
 
 SEARCH_ORDER_BOUND = 8
@@ -102,21 +100,20 @@ def search_sf_coessential_covers(
     """All right congruences sigma with S/sigma strongly flat and
     coessentially epimorphic onto the target (a cyclic act).
 
-    Returns (sigma, g) pairs in congruence enumeration order, g being
-    the first coessential epimorphism in hom order.  Strong flatness is
-    decided on each congruence's class vector by the cyclic criterion,
-    and only the survivors get a quotient act and the hom and
-    coessentiality scans.  Bounded to small monoids because every right
-    congruence is enumerated.
+    Returns (sigma, g) pairs in class-vector order, the order of
+    all_right_congruences, g being the first coessential epimorphism in
+    hom order.  The strongly flat S/sigma are read off the idempotents e
+    of the monoid, sigma = ker lambda_e, so there are at most |S| of
+    them, and only these get a quotient act and the hom and
+    coessentiality scans.  Bounded to small monoids: homs lists every
+    map out of each quotient.
     """
     if m.order > max_order:
         raise MonoidTooLargeError(m.order, max_order)
     if len(generating_set(target)) != 1:
         raise ValueError("target must be cyclic")
     found = []
-    for sigma in all_right_congruences(m):
-        if not _cyclic_strongly_flat(sigma):
-            continue
+    for sigma in _strongly_flat_congruences(m):
         for g in homs(quotient_act(m, sigma), target):
             if g.is_epimorphism and is_coessential(g).verdict:
                 found.append((sigma, g))

@@ -20,20 +20,38 @@ is the least failing s'.  For (P) a pair (u, v) of preimages of a and
 a' under one generator covers the s' with v*s' = u*s; for (E) a
 preimage u of a under any generator covers the s' with u*s' = u*s.
 
-For a cyclic act S/sigma the two conditions together reduce to one
-test on the congruence (Kilp, Knauer and Mikhalev, *Monoids, Acts and
-Categories*, ch. III): S/sigma is strongly flat exactly when every pair
-x sigma y has some u sigma 1 with u*x = u*y.  The cover search uses it
-as a verdict-only filter, with is_strongly_flat as its oracle.
+For a cyclic act the two conditions together reduce to a statement
+about its congruence: S/sigma is strongly flat exactly when sigma is
+ker lambda_e = {(x, y) : e*x = e*y} for some idempotent e, and then
+S/sigma is isomorphic to e*S, a cyclic projective (Kilp, Knauer and
+Mikhalev, *Monoids, Acts and Categories*, ch. III).  By that chapter's
+criterion, S/sigma is strongly flat exactly when every pair x sigma y
+has some u sigma 1 with u*x = u*y.
+
+(=>) Let P = [1]_sigma.  If u, v lie in P then uv sigma v sigma 1, so
+P is a submonoid, and the criterion applied to u sigma 1 and v sigma 1
+gives some w in P with wu = wv: P is left collapsible.  Folding the
+collapsing elements over the finite P gives e in P with e*u = e for
+every u in P; in particular e*e = e.  The criterion gives sigma within
+sigma_P = {(x, y) : u*x = u*y for some u in P}, and conversely, if
+u sigma 1 and u*x = u*y, then x sigma u*x = u*y sigma y; so
+sigma = sigma_P.  If u*x = u*y with u in P, then
+e*x = e*u*x = e*u*y = e*y; and e lies in P.  So sigma_P = ker lambda_e.
+(<=) ker lambda_e is a right congruence, and for each of its pairs
+u = e lies in [1] (e*e = e*1) and has e*x = e*y.
+
+So the cover search needs one candidate per idempotent instead of one
+per right congruence (_strongly_flat_congruences); is_strongly_flat on
+the built quotients of every congruence is its oracle in the tests.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .acts import Act, RightCongruence, _value_masks, generating_set
+from .acts import Act, RightCongruence, _canonical, _trusted, _value_masks, generating_set
+from .monoid import Monoid
 
 
 @dataclass(frozen=True)
@@ -126,10 +144,9 @@ def is_strongly_flat(a: Act) -> FlatnessReport:
     return FlatnessReport(a.elements, p_ok, e_ok, p_wit, e_wit)
 
 
-def _cyclic_strongly_flat(sigma: RightCongruence) -> bool:
-    """Whether S/sigma is strongly flat: every pair x sigma y needs some
-    u sigma 1 with u*x = u*y.  The class of 1 is class 0."""
-    t, cls = sigma.monoid.table, sigma.class_of
-    rows = [t[u] for u, c in enumerate(cls) if c == 0]
-    return all(any(r[x] == r[y] for r in rows)
-               for x, y in itertools.combinations(range(len(cls)), 2) if cls[x] == cls[y])
+def _strongly_flat_congruences(m: Monoid) -> list[RightCongruence]:
+    """The congruences sigma with S/sigma strongly flat, in class-vector
+    order: the kernels of left translation by the idempotents."""
+    t = m.table
+    return [_trusted(RightCongruence, m, v)
+            for v in sorted({_canonical(t[e]) for e in range(m.order) if t[e][e] == e})]

@@ -179,7 +179,11 @@ def _pairwise_isomorphic(m, named):
 def run_rightzero(n: int) -> ScenarioReport:
     """Right-zero semigroup with an identity adjoined: the n translation
     congruences give n pairwise-isomorphic strongly flat coessential
-    quotients over the one-element act, and nothing else does."""
+    quotients over the one-element act, and nothing else does.
+
+    The cover search reads its candidates off the idempotents, one
+    kernel of left translation each; that list equals the scan of every
+    right congruence which the search assertion's text names."""
     if not 1 <= n <= 5:
         raise ValueError("n must be between 1 and 5")
     started = time.perf_counter()

@@ -6,7 +6,9 @@ oracles: the quotient of the disjoint union by union-find over every
 arrow, and the product of every node's hom set filtered by the arrows.
 """
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -212,6 +214,51 @@ class TestSystemsWithoutMakeSystem:
         assert system.nodes == (0, 1, 2)
         assert system.order == frozenset([(0, 1), (1, 2), (0, 2)])
         assert system.arrows is not arrows
+
+
+class TestReadOnlyFields:
+    """acts and arrows cannot change after validation, and a system
+    survives pickle and deepcopy as an equal, still read-only, system."""
+
+    SYSTEMS = [chain_system, quotient_chain_system, fan_system]
+
+    @pytest.mark.parametrize("mk", SYSTEMS)
+    def test_fields_reject_mutation(self, mk):
+        system = mk()
+        with pytest.raises(TypeError):
+            system.acts[0] = THETA
+        with pytest.raises(TypeError):
+            del system.acts[0]
+        with pytest.raises(TypeError):
+            system.arrows[(0, 2)] = LAM_Z2
+        with pytest.raises(TypeError):
+            del system.arrows[(0, 2)]
+        assert system == mk()
+
+    def test_incoherent_arrow_cannot_be_slipped_in(self):
+        # replacing an arrow after validation would leave cocones with 3
+        # families where the product oracle finds 0
+        system = chain_system()
+        with pytest.raises(TypeError):
+            system.arrows[(0, 2)] = LAM_Z2
+        assert len(cocones(system, S)) == len(product_cocones(system, S)) == 3
+        assert compute_colimit(system) == union_find_colimit(system)
+
+    @pytest.mark.parametrize("mk", SYSTEMS)
+    @pytest.mark.parametrize("roundtrip", [
+        lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"])
+    def test_round_trips(self, mk, roundtrip):
+        system = mk()
+        back = roundtrip(system)
+        assert back == system
+        assert back.nodes == system.nodes and back.order == system.order
+        with pytest.raises(TypeError):
+            back.arrows[(0, 2)] = LAM_Z2
+        assert compute_colimit(back) == compute_colimit(system)
+        for probe in (S, THETA, Q1):
+            assert (family_images(cocones(back, probe), back.nodes)
+                    == family_images(cocones(system, probe), system.nodes))
 
 
 class TestValidation:

@@ -1,8 +1,11 @@
 """Condition (P), condition (E), strong flatness reports, and the
-cyclic criterion the cover search filters with.
+strongly flat cyclic quotients the cover search takes, one kernel of
+left translation per idempotent.
 
 The exhaustive (P) and (E) scans that try every interpolant are kept
-here as the oracles of the generator-preimage bitmask kernels.
+here as the oracles of the generator-preimage bitmask kernels, and the
+pairwise cyclic criterion on the congruence, _cyclic_strongly_flat, as
+an oracle of the idempotent list.
 
 Free acts are finite disjoint unions of copies of the regular act;
 there is no separate constructor for them.
@@ -30,7 +33,7 @@ from actcovers import (
     satisfies_condition_p,
 )
 from actcovers import flatness
-from actcovers.flatness import _cyclic_strongly_flat
+from actcovers.flatness import _strongly_flat_congruences
 from actcovers.scenarios import qiao_sigmas, rightzero_sigmas
 
 RZ2 = right_zero_adjoin_one(2)
@@ -44,6 +47,22 @@ def sigma(m, i):
 def free_over(m, copies):
     labels = tuple(f"g{i}" for i in range(copies))
     return disjoint_union([regular_act(m)] * copies, labels)
+
+
+def _cyclic_strongly_flat(sigma):
+    """Whether S/sigma is strongly flat: every pair x sigma y needs some
+    u sigma 1 with u*x = u*y.  The class of 1 is class 0."""
+    t, cls = sigma.monoid.table, sigma.class_of
+    rows = [t[u] for u, c in enumerate(cls) if c == 0]
+    return all(any(r[x] == r[y] for r in rows)
+               for x, y in itertools.combinations(range(len(cls)), 2) if cls[x] == cls[y])
+
+
+def flat_by_scans(m):
+    """The congruences whose built quotient passes the (P)/(E) scans, in
+    enumeration order."""
+    return [c for c in all_right_congruences(m)
+            if is_strongly_flat(quotient_act(m, c)).strongly_flat]
 
 
 def reference_condition_p(a):
@@ -298,15 +317,30 @@ class TestCyclicCriterion:
                   for n, cap in ((1, 1), (2, 2), (2, 3), (3, 2), (2, 4))])
 
     def test_matches_is_strongly_flat_on_every_congruence(self):
+        # both the pairwise criterion and the idempotent list
         verdicts = []
         for m in self.MONOIDS:
+            flat = []
             for cong in all_right_congruences(m):
                 fast = _cyclic_strongly_flat(cong)
                 assert fast == is_strongly_flat(quotient_act(m, cong)).strongly_flat, (
                     m.elements, cong.classes)
                 verdicts.append(fast)
+                if fast:
+                    flat.append(cong)
+            assert _strongly_flat_congruences(m) == flat, m.elements
         # both verdicts occur often, so neither constant answer would pass
         assert (len(verdicts), sum(verdicts)) == (1503, 492)
+
+    def test_idempotent_kernels_on_right_zero_monoids(self):
+        # every partition is a right congruence here (Bell(n + 1) of
+        # them); the flat ones are the n kernels of left translation by
+        # the z_i and the diagonal, the kernel of the identity
+        for n in range(1, 9):
+            m = right_zero_adjoin_one(n)
+            got = _strongly_flat_congruences(m)
+            assert got == flat_by_scans(m), n
+            assert len(got) == n + 1
 
     def test_rz2_sigmas_flat_partition_not(self):
         assert _cyclic_strongly_flat(sigma(RZ2, 1))

@@ -44,6 +44,7 @@ from actcovers import (  # noqa: E402
     search_sf_coessential_covers,
     verify_universality,
 )
+from actcovers.flatness import _strongly_flat_congruences  # noqa: E402
 from actcovers.kruml import _append_rows  # noqa: E402
 from test_acts import (  # noqa: E402
     classes_of,
@@ -53,7 +54,11 @@ from test_acts import (  # noqa: E402
 )
 from test_colimit import family_images, product_cocones, union_find_colimit  # noqa: E402
 from test_covers import reference_coessential  # noqa: E402
-from test_flatness import reference_condition_e, reference_condition_p  # noqa: E402
+from test_flatness import (  # noqa: E402
+    _cyclic_strongly_flat,
+    reference_condition_e,
+    reference_condition_p,
+)
 from test_kruml import rightmost_normalize  # noqa: E402
 
 SETTINGS = settings(deadline=None, derandomize=True, database=None)
@@ -287,6 +292,23 @@ def test_congruence_search_matches_scan_oracle_on_orders_8_9():
         m = build_from_table(["1"] + [f"f{i}" for i in range(1, len(table))], table)
         orders[m.order] += 1
         assert [c.class_of for c in all_right_congruences(m)] == scan_right_congruences(m)
+
+    check()
+    assert set(orders) == {8, 9}, orders
+
+
+def test_idempotent_kernels_match_cyclic_criterion_on_orders_8_9():
+    # the pairwise criterion on every right congruence is the oracle of
+    # the list of strongly flat ones read off the idempotents
+    orders = collections.Counter()
+
+    @settings(SETTINGS, max_examples=60)
+    @given(st.sampled_from(TABLES_8_9))
+    def check(table):
+        m = build_from_table(["1"] + [f"f{i}" for i in range(1, len(table))], table)
+        orders[m.order] += 1
+        want = [c for c in all_right_congruences(m) if _cyclic_strongly_flat(c)]
+        assert _strongly_flat_congruences(m) == want
 
     check()
     assert set(orders) == {8, 9}, orders
