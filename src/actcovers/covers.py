@@ -18,7 +18,6 @@ each and keeps those with a coessential epimorphism onto the target.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -122,7 +121,8 @@ def search_sf_coessential_covers(
 
 
 def unique_up_to_iso(m: Monoid, congruences: Sequence[RightCongruence]) -> bool:
-    """Whether all the listed cyclic quotients are pairwise isomorphic,
-    each pair certified by cyclic_iso_witness."""
-    return all(cyclic_iso_witness(m, s1, s2) is not None
-               for s1, s2 in itertools.combinations(congruences, 2))
+    """Whether all the listed cyclic quotients are isomorphic: each is
+    compared with the first alone, since cyclic_iso_witness decides
+    isomorphism exactly and isomorphism is an equivalence relation."""
+    return all(cyclic_iso_witness(m, congruences[0], s) is not None
+               for s in congruences[1:])

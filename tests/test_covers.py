@@ -281,11 +281,19 @@ class TestUniqueUpToIso:
     def test_single_entry_vacuous(self):
         assert unique_up_to_iso(RZ2, [sigma(RZ2, 1)])
 
+    def test_empty_list_vacuous(self):
+        assert unique_up_to_iso(RZ2, [])
+
     def test_sweep_every_cyclic_target_up_to_order_four(self):
-        # the paper's open question on every (monoid, cyclic target)
-        # pair of order <= 4: every target has a strongly flat
-        # coessential cyclic quotient, and all of them are isomorphic.
-        # A non-unique pair would be a finding; it is listed in full.
+        # every (monoid, cyclic target) pair of order <= 4: every target
+        # has a strongly flat coessential cyclic quotient, and all of
+        # them are isomorphic.  Finite monoids are perfect (Isbell,
+        # "Perfect monoids", 1971; Fountain, "Perfect semigroups", 1976),
+        # so over a finite monoid a strongly flat coessential cover of a
+        # cyclic act is its projective cover, unique up to isomorphism.
+        # The sweep therefore checks the library; it does not probe the
+        # paper's open question, which concerns infinite monoids.  A
+        # non-unique or uncovered pair is a library defect, listed in full.
         pairs = uncovered = 0
         non_unique = []
         for n in range(1, 5):

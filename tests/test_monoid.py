@@ -266,6 +266,17 @@ class TestEnumeration:
         first = next(enumerate_monoids(5))
         assert first.elements == ("1", "e1", "e2", "e3", "e4")
 
+    def test_order_five_with_the_bound_lifted(self, monkeypatch):
+        # count and both ends pinned from the enumeration that rescanned
+        # every triple after each cell; the per-cell check must agree
+        monkeypatch.setattr(monoid_module, "ENUMERATION_BOUND", 5)
+        tables = [m.table for m in enumerate_monoids(5)]
+        assert len(tables) == 4122
+        assert tables[0] == ((0, 1, 2, 3, 4), (1, 0, 2, 3, 4), (2, 2, 2, 2, 2),
+                             (3, 3, 2, 2, 2), (4, 4, 2, 2, 2))
+        assert tables[-1] == ((0, 1, 2, 3, 4), (1, 4, 4, 4, 4), (2, 4, 4, 4, 4),
+                              (3, 4, 4, 4, 4), (4, 4, 4, 4, 4))
+
     def test_group_implies_cancellative(self):
         for n in range(1, 4):
             for m in enumerate_monoids(n):
