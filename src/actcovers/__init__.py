@@ -9,7 +9,6 @@ from .acts import (
     all_right_congruences,
     are_isomorphic,
     canonical_projection,
-    congruence_closure,
     congruence_from_partition,
     cyclic_iso_witness,
     disjoint_union,

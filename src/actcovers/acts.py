@@ -338,42 +338,6 @@ def _checked_congruence(m: Monoid, rel: Relation) -> RightCongruence:
     return _trusted(RightCongruence, m, _canonical(map(_low, rel.rows)))
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent: list[int], a: int, b: int) -> bool:
-    """Merge the classes of a and b; False when already one class."""
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra == rb:
-        return False
-    parent[rb] = ra
-    return True
-
-
-def congruence_closure(m: Monoid, seed: Iterable[tuple[int, int]]) -> RightCongruence:
-    """Least right congruence containing the seed pairs.
-
-    Union-find with saturation: whenever two classes merge, the merged
-    pair is propagated along right multiplication by every element.
-    """
-    work = list(seed)
-    if not work:
-        raise EmptySeedError("congruence closure needs at least one seed pair")
-    n = m.order
-    for pair in work:
-        if not all(isinstance(x, int) and 0 <= x < n for x in pair):
-            raise ValueError(f"seed pair {_quote(pair)} out of range")
-    parent = list(range(n))
-    while work:
-        s, t = work.pop()
-        if _union(parent, s, t):
-            work.extend(zip(m.table[s], m.table[t]))
-    return _trusted(RightCongruence, m, _canonical([_find(parent, x) for x in range(n)]))
-
 def pullback_relation(m: Monoid, tau, u: int) -> Relation:
     """Relation  s ~ t  iff  (u*s, u*t) lies in tau.
 
@@ -391,6 +355,12 @@ def pullback_relation(m: Monoid, tau, u: int) -> Relation:
     return _trusted(Relation, m, tuple(lift[w] for w in m.table[u]))
 
 
+def left_kernel(m: Monoid, u: int) -> RightCongruence:
+    """Kernel of left translation s -> u*s; always a right congruence,
+    since u*s = u*t gives u*s*v = u*t*v."""
+    return _trusted(RightCongruence, m, _canonical(m.table[u]))
+
+
 def regular_act(m: Monoid) -> Act:
     """The monoid acting on itself by right multiplication."""
     return _trusted(Act, m, m.elements, m.table)
@@ -400,24 +370,22 @@ def one_element_act(m: Monoid) -> Act:
     return _trusted(Act, m, ("theta",), ((0,) * m.order,))
 
 
-def disjoint_union(acts: Sequence[Act], tags: Optional[Sequence[str]] = None) -> Act:
+def disjoint_union(acts: Sequence[Act]) -> Act:
     """Coproduct of acts over one monoid: element x of the k-th act is
-    labelled f"{tag}:{x}", where tag is k unless tags are given."""
+    labelled f"{k}:{x}".  The labels are distinct: a position has no
+    colon, so the text before the first colon names the act, and the
+    labels within one act are distinct already."""
     if not acts:
         raise ValueError("disjoint union needs at least one act")
     monoid = acts[0].monoid
-    if tags is None:
-        tags = range(len(acts))
     labels = []
     action = []
-    for a, tag in zip(acts, tags, strict=True):
+    for k, a in enumerate(acts):
         if a.monoid != monoid:
             raise ValueError("all acts must share the monoid")
         base = len(labels)
-        labels += [f"{tag}:{lab}" for lab in a.elements]
+        labels += [f"{k}:{lab}" for lab in a.elements]
         action += [tuple([base + y for y in row]) for row in a.action]
-    if len(set(labels)) != len(labels):
-        raise ValueError("act element labels must be distinct")
     return _trusted(Act, monoid, tuple(labels), tuple(action))
 
 

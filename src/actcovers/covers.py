@@ -104,8 +104,10 @@ def search_sf_coessential_covers(
     hom order.  The strongly flat S/sigma are read off the idempotents e
     of the monoid, sigma = ker lambda_e, so there are at most |S| of
     them, and only these get a quotient act and the hom and
-    coessentiality scans.  Bounded to small monoids: homs lists every
-    map out of each quotient.
+    coessentiality scans.  A hom out of a cyclic quotient is fixed by
+    the image of its one generator, so each hom scan tries at most
+    |target| candidates.  SEARCH_ORDER_BOUND is no longer a cost limit:
+    it stands until it is raised along with the scenario bounds.
     """
     if m.order > max_order:
         raise MonoidTooLargeError(m.order, max_order)

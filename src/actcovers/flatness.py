@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .acts import Act, RightCongruence, _canonical, _trusted, _value_masks, generating_set
+from .acts import Act, RightCongruence, _value_masks, generating_set, left_kernel
 from .monoid import Monoid
 
 
@@ -147,6 +147,6 @@ def is_strongly_flat(a: Act) -> FlatnessReport:
 def _strongly_flat_congruences(m: Monoid) -> list[RightCongruence]:
     """The congruences sigma with S/sigma strongly flat, in class-vector
     order: the kernels of left translation by the idempotents."""
-    t = m.table
-    return [_trusted(RightCongruence, m, v)
-            for v in sorted({_canonical(t[e]) for e in range(m.order) if t[e][e] == e})]
+    kernels = [left_kernel(m, e) for e in range(m.order) if m.table[e][e] == e]
+    unique = {k.class_of: k for k in kernels}
+    return [unique[v] for v in sorted(unique)]

@@ -18,14 +18,13 @@ from typing import Optional
 from .acts import (
     ActMap,
     Relation,
-    RightCongruence,
-    _canonical,
     _checked_congruence,
     _least_members,
     _trusted,
     canonical_projection,
     cyclic_iso_witness,
     is_right_congruence,
+    left_kernel,
     one_element_act,
     projection_to_one,
     pullback_relation,
@@ -153,12 +152,6 @@ def qiao_rho(m) -> Relation:
     rest = (1 << m.order) - 1 ^ zero
     return _trusted(Relation, m, tuple(
         zero if zero >> s & 1 else rest for s in range(m.order)))
-
-
-def left_kernel(m, u: int) -> RightCongruence:
-    """Kernel of left translation s -> u*s; always a right congruence,
-    since u*s = u*t gives u*s*v = u*t*v."""
-    return _trusted(RightCongruence, m, _canonical(m.table[u]))
 
 
 def _pairwise_isomorphic(m, named):

@@ -344,7 +344,7 @@ def test_criterion_6_cover_semantics(acceptance_log):
         and not cover_q1.verdict and cover_q1.witness == (3, (0,))
         and not is_strongly_flat(theta).strongly_flat))
 
-    u = disjoint_union([S, S], ("a", "b"))
+    u = disjoint_union([S, S])
     fold = ActMap(u, S, (0, 1, 2, 0, 1, 2))
     pre = is_precover_wrt(fold, [S])
     cov = is_cover_wrt(fold, [S])
@@ -396,8 +396,7 @@ def test_criterion_7_flatness_invariants(acceptance_log):
     for m in test_monoids:
         copy_range = (1, 2) if m.order > 4 else (1, 2, 3)
         for copies in copy_range:
-            labels = tuple(f"g{i}" for i in range(copies))
-            f = disjoint_union([regular_act(m)] * copies, labels)
+            f = disjoint_union([regular_act(m)] * copies)
             if not is_strongly_flat(f).strongly_flat:
                 free_ok = False
     checks.append((

@@ -29,7 +29,6 @@ from actcovers import (
     build_from_table,
     canonical_projection,
     compute_colimit,
-    congruence_closure,
     congruence_from_partition,
     cyclic_iso_witness,
     disjoint_union,
@@ -251,25 +250,6 @@ class TestRelations:
         bad = ((0, 1), tuple(range(2, Q23.order)))
         with pytest.raises(ValueError):
             congruence_from_partition(Q23, bad)
-
-    def test_congruence_closure_seed(self):
-        c = congruence_closure(RZ2, [(1, 2)])
-        assert c.classes == ((0,), (1, 2))
-
-    def test_congruence_closure_saturates(self):
-        # seeding 1 ~ x0 must drag all x0 powers together
-        c = congruence_closure(Q23, [(0, 1)])
-        cls = c.class_of[0]
-        assert c.class_of[1] == cls and c.class_of[2] == cls
-
-    def test_congruence_closure_empty_seed(self):
-        with pytest.raises(EmptySeedError):
-            congruence_closure(RZ2, [])
-
-    @pytest.mark.parametrize("pair", [(-1, 0), (0, 9), (0, "1")])
-    def test_congruence_closure_rejects_bad_indices(self, pair):
-        with pytest.raises(ValueError, match=f"seed pair {re.escape(repr(pair))}"):
-            congruence_closure(RZ2, [(0, 1), pair])
 
     def test_together_agrees_with_relation(self):
         for c in (congruence_from_partition(RZ2, [[0], [1], [2]]), sigma(RZ2, 1),
@@ -593,6 +573,10 @@ class TestSubactsAndGenerators:
         with pytest.raises(ValueError, match=f"^seed element {re.escape(repr(x))} out of range$"):
             subact_closure(regular_act(RZ2), [1, x])
 
+    def test_closure_rejects_empty_seed(self):
+        with pytest.raises(EmptySeedError):
+            subact_closure(regular_act(RZ2), [])
+
     def test_closure_accepts_every_valid_seed(self):
         S = regular_act(RZ2)
         assert [subact_closure(S, [x]) for x in range(S.size)] == [
@@ -617,9 +601,9 @@ class TestSubactsAndGenerators:
 
     def test_disjoint_union_labels(self):
         S = regular_act(RZ2)
-        u = disjoint_union([S, S], ("a", "b"))
-        assert u.elements[:3] == ("a:1", "a:z1", "a:z2")
-        assert u.elements[3:] == ("b:1", "b:z1", "b:z2")
+        u = disjoint_union([S, S])
+        assert u.elements[:3] == ("0:1", "0:z1", "0:z2")
+        assert u.elements[3:] == ("1:1", "1:z1", "1:z2")
         assert u.size == 6
 
 
@@ -809,9 +793,6 @@ class TestTrustedPath:
                 for obj in (quotient_act(m, c), quotient_map(m, c),
                             canonical_projection(m, c, full_congruence(m))):
                     assert rechecked(obj) == obj
-            for s, t in itertools.combinations(range(m.order), 2):
-                c = congruence_closure(m, [(s, t)])
-                assert rechecked(c).class_of == c.class_of
 
     def test_homs_between_right_zero_quotients_pass_public_checks(self):
         for n in range(1, 5):
@@ -858,21 +839,21 @@ class TestTrustedPath:
             assert rechecked(obj) == obj
 
     def test_disjoint_unions_pass_public_checks(self):
-        parts = (regular_act(RZ2), quotient_act(RZ2, sigma(RZ2, 1)),
-                 one_element_act(RZ2))
+        # labels with colons and digits cannot collide across parts:
+        # the text before the first colon is the part's position
+        S = regular_act(RZ2)
+        parts = (S, quotient_act(RZ2, sigma(RZ2, 1)), one_element_act(RZ2),
+                 Act(RZ2, ("b:1", "b:z1", "b:z2"), S.action),
+                 Act(RZ2, ("1", "0:1", "10"), S.action))
         for k in range(1, 4):
             for acts in itertools.product(parts, repeat=k):
-                for tags in (None, ("p", "q:", "r")[:k]):
-                    u = disjoint_union(acts, tags)
-                    assert rechecked(u) == u
+                u = disjoint_union(acts)
+                assert rechecked(u) == u
 
     def test_disjoint_union_rejects_bad_input(self):
-        S = regular_act(RZ2)
-        relabelled = Act(RZ2, ("b:1", "b:z1", "b:z2"), S.action)
-        for acts, tags in [([S, S], ("a", "a")), ([relabelled, S], ("a", "a:b")),
-                           ([S, S], ("a",)), ([S, regular_act(RZ3)], None)]:
+        for acts in ([], [regular_act(RZ2), regular_act(RZ3)]):
             with pytest.raises(ValueError):
-                disjoint_union(acts, tags)
+                disjoint_union(acts)
 
     def test_subset_relations_convert_or_raise(self):
         converted = rejected = 0
@@ -915,11 +896,9 @@ class TestTrustedPath:
 
 def trusted_objects(m):
     """Objects of the four slotted types built on the library's trusted
-    paths: the congruence search, closures, relations, pullbacks,
+    paths: the congruence search, relations, pullbacks,
     quotients, projections, composites and hom sets."""
     congs = all_right_congruences(m)
-    congs += [congruence_closure(m, [(s, t)])
-              for s, t in itertools.combinations(range(m.order), 2)]
     rels = [c.relation() for c in congs] + list(subset_relations(m))
     rels += [pullback_relation(m, rel, u) for rel in rels[:8] for u in range(m.order)]
     acts = [regular_act(m), one_element_act(m)]

@@ -349,7 +349,7 @@ class TestColimit:
 
     def test_disjoint_probe_component(self):
         # colimit of a single disjoint union keeps both components
-        u = disjoint_union([S, THETA], ("p", "q"))
+        u = disjoint_union([S, THETA])
         res = compute_colimit(make_system((0,), [], {0: u}, {}))
         assert res.act.size == 4
 
@@ -385,7 +385,7 @@ class TestCocones:
 
 
 class TestUniversality:
-    PROBES = [S, THETA, Q1, disjoint_union([S, THETA], ("p", "q"))]
+    PROBES = [S, THETA, Q1, disjoint_union([S, THETA])]
 
     @pytest.mark.parametrize("mk", [chain_system, quotient_chain_system,
                                     fan_system])
@@ -401,7 +401,7 @@ class TestUniversality:
         # go, so no cocone to S has a mediator at all
         system = chain_system()
         res = compute_colimit(system)
-        fake = disjoint_union([res.act, THETA], ("c", "d"))
+        fake = disjoint_union([res.act, THETA])
         from actcovers.colimit import ColimitResult
         inj = {
             i: ActMap(system.acts[i], fake,

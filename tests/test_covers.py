@@ -191,7 +191,7 @@ class TestCoessential:
 
 class TestPrecoverAndCover:
     def test_fold_map_is_precover_not_cover(self):
-        u = disjoint_union([S, S], ("a", "b"))
+        u = disjoint_union([S, S])
         fold = ActMap(u, S, (0, 1, 2, 0, 1, 2))
         assert is_precover_wrt(fold, [S]).verdict is True
         rep = is_cover_wrt(fold, [S])
@@ -251,7 +251,7 @@ class TestSearch:
             assert is_coessential(g).verdict
 
     def test_non_cyclic_target_rejected(self):
-        two = disjoint_union([THETA, THETA], ("a", "b"))
+        two = disjoint_union([THETA, THETA])
         with pytest.raises(ValueError):
             search_sf_coessential_covers(RZ2, two)
 

@@ -1,0 +1,79 @@
+"""Every private helper of the library has a caller.
+
+A module-level private function, class or constant of src/actcovers is
+loaded somewhere in the package outside its own definition: in its own
+module, in a module that imports it by name, or as an attribute.  Code
+with no caller is deleted rather than kept.  The check reads the source
+with the standard library's ast module and imports nothing.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "actcovers"
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _defined(stmt):
+    """Private names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if _is_private(n)]
+
+
+def _loaded(stmt):
+    """(names, attributes) a statement loads."""
+    names, attrs = set(), set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attrs.add(node.attr)
+    return names, attrs
+
+
+def _imported_from(tree, module):
+    """Names the tree imports from the sibling module `module`."""
+    return {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+            and node.level == 1 and node.module == module for alias in node.names}
+
+
+def unused_private_names(package=PACKAGE):
+    """(file name, symbol) for each private module-level name of the
+    package that nothing outside its own definition loads."""
+    trees = {p.stem: ast.parse(p.read_text(), str(p))
+             for p in sorted(package.glob("*.py"))}
+    loads = [(module, index, *_loaded(stmt))
+             for module, tree in trees.items() for index, stmt in enumerate(tree.body)]
+    unused = []
+    for module, tree in trees.items():
+        for index, stmt in enumerate(tree.body):
+            for name in _defined(stmt):
+                # a bare name refers to this definition only in its own
+                # module and in the modules that import it from there
+                visible = {other for other, other_tree in trees.items()
+                           if other == module or name in _imported_from(other_tree, module)}
+                if not any(name in attrs or (other in visible and name in names)
+                           for other, j, names, attrs in loads if (other, j) != (module, index)):
+                    unused.append((f"{module}.py", name))
+    return unused
+
+
+def test_every_private_helper_has_a_caller():
+    assert unused_private_names() == []
+
+
+def test_a_helper_with_no_caller_is_named(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n\n\ndef _step(x):\n    return _step(x - 1) if x else _LIMIT\n\n\n"
+        "def _orphan():\n    return 0\n")
+    (tmp_path / "b.py").write_text("from .a import _step\n\nVALUE = _step(2)\n")
+    assert unused_private_names(tmp_path) == [("a.py", "_orphan")]
