@@ -51,7 +51,6 @@ from .errors import (
     EmptySeedError,
     EmptySemigroupError,
     IncoherentArrowsError,
-    MonoidTooLargeError,
     NoIdentityError,
     NotAssociativeError,
     NotDirectedError,
@@ -60,12 +59,7 @@ from .errors import (
     OrderTooLargeError,
     TooFewSamplesError,
 )
-from .flatness import (
-    FlatnessReport,
-    is_strongly_flat,
-    satisfies_condition_e,
-    satisfies_condition_p,
-)
+from .flatness import FlatnessReport, is_strongly_flat
 from .kruml import (
     ColimitElement,
     FinXSystem,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, EmptySeedError, _quote
-from .monoid import Monoid
+from .monoid import Monoid, _require_indices
 
 DEFAULT_BUDGET = 10**6
 
@@ -253,6 +253,12 @@ def full_congruence(m: Monoid) -> RightCongruence:
     return congruence_from_partition(m, [list(range(m.order))])
 
 
+def _require_monoid(m: Monoid, obj) -> None:
+    """Raise unless obj is over m; identity first, the common case."""
+    if obj.monoid is not m and obj.monoid != m:
+        raise ValueError(f"{type(obj).__name__} is over another monoid")
+
+
 def _value_masks(rows, size: int) -> list[int]:
     """masks[w]: the positions i with row[i] = w in some row, as a bitmask."""
     masks = [0] * size
@@ -270,6 +276,7 @@ def relation_from_subset(m: Monoid, members: Sequence[int]) -> Relation:
     is_right_congruence before treating it as a congruence.  Row s is
     the union over p of the t with q*t = p*s for some q.
     """
+    _require_indices(m.order, "subset member", members)
     if 0 not in members:
         raise ValueError("the subset must contain the identity")
     member_rows = [m.table[p] for p in members]
@@ -307,6 +314,7 @@ def is_right_congruence(m: Monoid, rel: Relation):
     lexicographic order: for each s~t, symmetry fails when row t lacks
     s, and transitivity at the lowest set bit of rows[t] & ~rows[s].
     """
+    _require_monoid(m, rel)
     rows = rel.rows
     for s, row in enumerate(rows):
         if not row >> s & 1:
@@ -347,6 +355,8 @@ def pullback_relation(m: Monoid, tau, u: int) -> Relation:
     compare structurally.  Row s is the union of the preimages under
     t -> u*t of the set bits of row u*s of tau.
     """
+    _require_monoid(m, tau)
+    _require_indices(m.order, "u =", (u,))
     rows = tau.rows if isinstance(tau, Relation) else tau.relation().rows
     pre = _value_masks((m.table[u],), m.order)
     lift = [0] * m.order
@@ -392,6 +402,7 @@ def disjoint_union(acts: Sequence[Act]) -> Act:
 def quotient_act(m: Monoid, sigma: RightCongruence) -> Act:
     """Cyclic act S/sigma; each class is labelled by its least member and
     acts through it."""
+    _require_monoid(m, sigma)
     cls = sigma.class_of
     reps = _least_members(cls)
     return _trusted(Act, m, tuple(f"[{m.label(r)}]" for r in reps),
@@ -422,9 +433,7 @@ def subact_closure(a: Act, seed: Iterable[int]) -> tuple[int, ...]:
     seed = list(seed)
     if not seed:
         raise EmptySeedError("subact closure needs a nonempty seed")
-    for x in seed:
-        if not (isinstance(x, int) and 0 <= x < a.size):
-            raise ValueError(f"seed element {_quote(x)} out of range")
+    _require_indices(a.size, "seed element", seed)
     return tuple(sorted(set().union(*(a.action[x] for x in seed))))
 
 
@@ -529,6 +538,7 @@ def cyclic_iso_witness(m: Monoid, sigma: RightCongruence, tau: RightCongruence) 
     makes it onto, so existence of such a u is equivalent to the two
     cyclic acts being isomorphic.
     """
+    _require_monoid(m, sigma)
     qt = quotient_act(m, tau)
     cls, want = tau.class_of, sigma.class_of
     for u in range(m.order):

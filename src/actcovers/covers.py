@@ -31,7 +31,7 @@ from .acts import (
     quotient_act,
     subact_closure,
 )
-from .errors import MonoidTooLargeError, NotEpimorphismError
+from .errors import NotEpimorphismError, OrderTooLargeError
 from .flatness import _strongly_flat_congruences
 from .monoid import Monoid
 
@@ -110,7 +110,7 @@ def search_sf_coessential_covers(
     it stands until it is raised along with the scenario bounds.
     """
     if m.order > max_order:
-        raise MonoidTooLargeError(m.order, max_order)
+        raise OrderTooLargeError(m.order, max_order)
     if len(generating_set(target)) != 1:
         raise ValueError("target must be cyclic")
     found = []

@@ -68,15 +68,6 @@ class NotEpimorphismError(ActcoversError):
         super().__init__(f"map is not onto: target element {missing} has no preimage")
 
 
-class MonoidTooLargeError(ActcoversError):
-    def __init__(self, order: int, bound: int):
-        self.order = order
-        self.bound = bound
-        super().__init__(
-            f"monoid of order {order} is beyond the search bound {bound}"
-        )
-
-
 class NotDirectedError(ActcoversError):
     def __init__(self, i: object, j: object):
         self.pair = (i, j)

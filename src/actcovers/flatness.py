@@ -56,10 +56,9 @@ from .monoid import Monoid
 
 @dataclass(frozen=True)
 class FlatnessReport:
-    act_elements: tuple[str, ...]
     condition_p: bool
-    condition_e: bool
     p_witness: Optional[tuple[int, int, int, int]]
+    condition_e: bool
     e_witness: Optional[tuple[int, int, int]]
 
     @property
@@ -79,13 +78,9 @@ def _generator_preimages(a: Act) -> list[list[list[int]]]:
     return out
 
 
-def satisfies_condition_p(a: Act):
+def _condition_p(a: Act, pres):
     """(verdict, witness); witness is the least (a, a', s, s') with
     a*s = a'*s' admitting no interpolant (a'', u, v)."""
-    return _condition_p(a, _generator_preimages(a))
-
-
-def _condition_p(a: Act, pres):
     nx, ns = a.size, a.monoid.order
     act, t = a.action, a.monoid.table
     where = [_value_masks((row,), nx) for row in act]
@@ -112,13 +107,9 @@ def _condition_p(a: Act, pres):
     return True, None
 
 
-def satisfies_condition_e(a: Act):
+def _condition_e(a: Act, pres):
     """(verdict, witness); witness is the least (a, s, s') with
     a*s = a*s' admitting no interpolant (a'', u)."""
-    return _condition_e(a, _generator_preimages(a))
-
-
-def _condition_e(a: Act, pres):
     nx, ns = a.size, a.monoid.order
     act, t = a.action, a.monoid.table
     tmask = [_value_masks((row,), ns) for row in t]
@@ -137,11 +128,9 @@ def _condition_e(a: Act, pres):
 
 
 def is_strongly_flat(a: Act) -> FlatnessReport:
-    """Both conditions, from one pass over the generators."""
+    """(P) and (E), each with its least witness, in one generator pass."""
     pres = _generator_preimages(a)
-    p_ok, p_wit = _condition_p(a, pres)
-    e_ok, e_wit = _condition_e(a, pres)
-    return FlatnessReport(a.elements, p_ok, e_ok, p_wit, e_wit)
+    return FlatnessReport(*_condition_p(a, pres), *_condition_e(a, pres))
 
 
 def _strongly_flat_congruences(m: Monoid) -> list[RightCongruence]:

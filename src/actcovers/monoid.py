@@ -31,6 +31,7 @@ from .errors import (
     NoIdentityError,
     NotAssociativeError,
     OrderTooLargeError,
+    _quote,
 )
 
 ENUMERATION_BOUND = 4
@@ -96,6 +97,7 @@ class Monoid:
 
     def submonoid_closure(self, seed: tuple[int, ...]) -> tuple[int, ...]:
         """Indices of the submonoid generated by seed (identity included)."""
+        _require_indices(self.order, "seed element", seed)
         seen = {0}
         seen.update(seed)
         frontier = list(seen)
@@ -107,6 +109,13 @@ class Monoid:
                         seen.add(c)
                         frontier.append(c)
         return tuple(sorted(seen))
+
+
+def _require_indices(n: int, what: str, values) -> None:
+    """Raise at the first value that is not an int in range(n)."""
+    for s in values:
+        if not (isinstance(s, int) and 0 <= s < n):
+            raise ValueError(f"{what} {_quote(s)} out of range")
 
 
 def build_from_table(elements, table) -> Monoid:

@@ -13,8 +13,6 @@ reproduces the false claim.  README.md derives both.
 import itertools
 import time
 
-import pytest
-
 from actcovers import (
     Act,
     ActMap,
@@ -44,7 +42,6 @@ from actcovers import (
     relation_to_congruence,
     right_zero_adjoin_one,
     search_sf_coessential_covers,
-    subact_closure,
     verify_universality,
 )
 from actcovers.scenarios import (
@@ -54,6 +51,7 @@ from actcovers.scenarios import (
     run_kruml,
     run_lemma,
 )
+from test_covers import brute_coessential
 
 RZ2 = right_zero_adjoin_one(2)
 
@@ -194,17 +192,6 @@ def test_criterion_4_cancellative_implies_group(acceptance_log):
     checks = [(a.desc, a.ok) for a in report.assertions]
     finish(acceptance_log, 4, "right-cancellative implies group (order <= 4)",
            checks, started, budget_s=60.0)
-
-
-def brute_coessential(g):
-    src, tgt = g.source, g.target
-    for r in range(1, src.size):
-        for sub in itertools.combinations(range(src.size), r):
-            if subact_closure(src, sub) != sub:
-                continue
-            if {g.image[x] for x in sub} == set(range(tgt.size)):
-                return False
-    return True
 
 
 def all_acts_over(m, max_size):

@@ -13,8 +13,8 @@ import pytest
 from actcovers import (
     ActMap,
     CoverReport,
-    MonoidTooLargeError,
     NotEpimorphismError,
+    OrderTooLargeError,
     all_right_congruences,
     canonical_projection,
     congruence_from_partition,
@@ -31,8 +31,6 @@ from actcovers import (
     quotient_act,
     quotient_map,
     regular_act,
-    relation_from_subset,
-    relation_to_congruence,
     right_zero_adjoin_one,
     search_sf_coessential_covers,
     subact_closure,
@@ -40,15 +38,11 @@ from actcovers import (
 )
 from actcovers.acts import _checked_congruence
 from actcovers.scenarios import qiao_rho, qiao_sigmas
-from test_flatness import rz2_acts
+from test_flatness import rz2_acts, sigma
 
 RZ2 = right_zero_adjoin_one(2)
 S = regular_act(RZ2)
 THETA = one_element_act(RZ2)
-
-
-def sigma(m, i):
-    return relation_to_congruence(m, relation_from_subset(m, (0, i)))
 
 
 Q1 = quotient_act(RZ2, sigma(RZ2, 1))
@@ -257,7 +251,7 @@ class TestSearch:
 
     def test_order_bound(self):
         m = qiao_wei_truncated(3, 4)  # 10 elements
-        with pytest.raises(MonoidTooLargeError):
+        with pytest.raises(OrderTooLargeError):
             search_sf_coessential_covers(m, one_element_act(m))
 
     def test_bound_override(self):

@@ -86,6 +86,11 @@ class TestValidation:
         assert m.submonoid_closure(()) == (0,)
         assert Z3.submonoid_closure((1,)) == (0, 1, 2)
 
+    @pytest.mark.parametrize("seed", [(-1,), (3,), (1, "1")])
+    def test_submonoid_closure_rejects_out_of_range_seed(self, seed):
+        with pytest.raises(ValueError, match=f"seed element {seed[-1]!r} out of range"):
+            Z3.submonoid_closure(seed)
+
     def test_index_label_roundtrip(self):
         m = right_zero_adjoin_one(3)
         for i in range(m.order):

@@ -1,10 +1,13 @@
-"""Every private helper of the library has a caller.
+"""Every private helper of the library has a caller, and every import
+is used.
 
 A module-level private function, class or constant of src/actcovers is
 loaded somewhere in the package outside its own definition: in its own
-module, in a module that imports it by name, or as an attribute.  Code
-with no caller is deleted rather than kept.  The check reads the source
-with the standard library's ast module and imports nothing.
+module, in a module that imports it by name, or as an attribute.  Every
+name a module imports is loaded in that module; the re-exports of
+__init__.py and __future__ imports are exempt.  Code with no caller is
+deleted rather than kept.  The checks read the source with the standard
+library's ast module and import nothing.
 """
 
 import ast
@@ -77,3 +80,35 @@ def test_a_helper_with_no_caller_is_named(tmp_path):
         "def _orphan():\n    return 0\n")
     (tmp_path / "b.py").write_text("from .a import _step\n\nVALUE = _step(2)\n")
     assert unused_private_names(tmp_path) == [("a.py", "_orphan")]
+
+
+def unused_imports(package=PACKAGE):
+    """(file name, name) for each name a module of the package imports
+    and never loads, in file and then source order."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        loaded, _ = _loaded(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [(path.name, name) for name in bound if name not in loaded]
+    return unused
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
+
+
+def test_an_unused_import_is_named(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import VALUE\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\nimport json\nimport os.path\n"
+        "from .b import ActMap, _least_members\n\nVALUE = os.path.sep + _least_members\n")
+    assert unused_imports(tmp_path) == [("a.py", "json"), ("a.py", "ActMap")]
