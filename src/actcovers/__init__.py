@@ -73,7 +73,6 @@ from .kruml import (
 )
 from .monoid import (
     Monoid,
-    Presentation,
     build_from_table,
     enumerate_monoids,
     is_cancellative,

@@ -368,6 +368,7 @@ def pullback_relation(m: Monoid, tau, u: int) -> Relation:
 def left_kernel(m: Monoid, u: int) -> RightCongruence:
     """Kernel of left translation s -> u*s; always a right congruence,
     since u*s = u*t gives u*s*v = u*t*v."""
+    _require_indices(m.order, "u =", (u,))
     return _trusted(RightCongruence, m, _canonical(m.table[u]))
 
 
@@ -455,11 +456,10 @@ def generating_set(a: Act) -> tuple[int, ...]:
 
 
 def _extend(a: Act, b: Act, gens: tuple[int, ...], images: tuple[int, ...]):
-    """Grow generator images to a full equivariant map, or None."""
+    """Grow generator images to a full equivariant map, or None.  gens
+    must be distinct and generate a, as generating_set(a) does."""
     f: list[Optional[int]] = [None] * a.size
     for g, y in zip(gens, images):
-        if f[g] is not None and f[g] != y:
-            return None
         f[g] = y
     work = list(gens)
     while work:
@@ -473,8 +473,6 @@ def _extend(a: Act, b: Act, gens: tuple[int, ...], images: tuple[int, ...]):
                 work.append(y)
             elif f[y] != fy:
                 return None
-    if any(v is None for v in f):
-        return None
     return tuple(f)
 
 

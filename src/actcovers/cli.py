@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from pathlib import Path
@@ -177,7 +176,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "check":
             return _emit(_run_check(args.file, args.op), args.json)
-    except (ActcoversError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ActcoversError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -25,6 +25,7 @@ from .acts import (
     Act,
     ActMap,
     RightCongruence,
+    _require_monoid,
     cyclic_iso_witness,
     generating_set,
     homs,
@@ -40,7 +41,6 @@ SEARCH_ORDER_BOUND = 8
 
 @dataclass(frozen=True)
 class CoverReport:
-    kind: str
     verdict: bool
     witness: Optional[object]
 
@@ -67,7 +67,7 @@ def is_coessential(g: ActMap) -> CoverReport:
     refuting = [[next(x for x in fiber if p not in rows[x]) for fiber in fibers]
                 for p in range(src.size) if p not in forced]
     witness = subact_closure(src, min(refuting)) if refuting else None
-    return CoverReport("coessential", witness is None, witness)
+    return CoverReport(witness is None, witness)
 
 
 def is_precover_wrt(g: ActMap, family: Sequence[Act]) -> CoverReport:
@@ -77,8 +77,8 @@ def is_precover_wrt(g: ActMap, family: Sequence[Act]) -> CoverReport:
         candidates = homs(probe, g.source)
         for gp in homs(probe, g.target):
             if not any(g.after(f) == gp for f in candidates):
-                return CoverReport("precover", False, (idx, gp.image))
-    return CoverReport("precover", True, None)
+                return CoverReport(False, (idx, gp.image))
+    return CoverReport(True, None)
 
 
 def is_cover_wrt(g: ActMap, family: Sequence[Act]) -> CoverReport:
@@ -86,11 +86,11 @@ def is_cover_wrt(g: ActMap, family: Sequence[Act]) -> CoverReport:
     witness is either the precover witness or a non-bijective image."""
     pre = is_precover_wrt(g, family)
     if not pre.verdict:
-        return CoverReport("cover", False, pre.witness)
+        return CoverReport(False, pre.witness)
     for f in homs(g.source, g.source):
         if g.after(f) == g and not f.is_bijective:
-            return CoverReport("cover", False, f.image)
-    return CoverReport("cover", True, None)
+            return CoverReport(False, f.image)
+    return CoverReport(True, None)
 
 
 def search_sf_coessential_covers(
@@ -126,5 +126,7 @@ def unique_up_to_iso(m: Monoid, congruences: Sequence[RightCongruence]) -> bool:
     """Whether all the listed cyclic quotients are isomorphic: each is
     compared with the first alone, since cyclic_iso_witness decides
     isomorphism exactly and isomorphism is an equivalence relation."""
+    for s in congruences:
+        _require_monoid(m, s)
     return all(cyclic_iso_witness(m, congruences[0], s) is not None
                for s in congruences[1:])

@@ -21,6 +21,7 @@ Two families from the cover-theory scenarios are built here:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -123,40 +124,15 @@ def build_from_table(elements, table) -> Monoid:
     return Monoid(tuple(elements), tuple(tuple(row) for row in table))
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """Generator labels plus relations as pairs of words.
+def _first_violated(m: Monoid, assignment: tuple[int, ...], relations) -> Optional[tuple]:
+    """First (lhs, rhs) pair of words, tuples of generator indices with
+    generator i read as assignment[i], whose words name different
+    elements of m; None when every relation holds."""
 
-    A word is a tuple of generator indices; the empty tuple is the
-    identity.  Presentations are only bookkeeping: the qiao-wei scenario
-    and the tests check a finished table against its relations.
-    """
+    def value(word: tuple[int, ...]) -> int:
+        return functools.reduce(m.mul, (assignment[sym] for sym in word), 0)
 
-    generators: tuple[str, ...]
-    relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    def __post_init__(self):
-        g = len(self.generators)
-        for lhs, rhs in self.relations:
-            for word in (lhs, rhs):
-                for sym in word:
-                    if not 0 <= sym < g:
-                        raise ValueError(f"relation uses undeclared generator {sym}")
-
-    def holds_in(self, m: Monoid, assignment: tuple[int, ...]) -> Optional[tuple]:
-        """First violated relation under generator -> element assignment,
-        or None when every relation holds."""
-
-        def evaluate(word: tuple[int, ...]) -> int:
-            acc = 0
-            for sym in word:
-                acc = m.table[acc][assignment[sym]]
-            return acc
-
-        for lhs, rhs in self.relations:
-            if evaluate(lhs) != evaluate(rhs):
-                return (lhs, rhs)
-        return None
+    return next(((lhs, rhs) for lhs, rhs in relations if value(lhs) != value(rhs)), None)
 
 
 def right_zero_adjoin_one(n: int) -> Monoid:
@@ -175,13 +151,11 @@ def right_zero_adjoin_one(n: int) -> Monoid:
     return build_from_table(labels, table)
 
 
-def qiao_wei_presentation(n: int, cap: int) -> Presentation:
-    """Relations of the truncated monoid on generators x0..xn.
-
-    Generator i of the presentation is xi.  The truncation relation
-    x0^cap = x0^(cap+1) is included.
+def qiao_wei_presentation(n: int, cap: int) -> tuple:
+    """Defining relations of the truncated monoid on generators x0..xn,
+    as (lhs, rhs) pairs of words; generator i of a word is xi.  The
+    truncation relation x0^cap = x0^(cap+1) is included.
     """
-    gens = tuple(f"x{k}" for k in range(n + 1))
     rels = []
     for k in range(1, n + 1):
         rels.append(((0, k), (0,)))
@@ -191,7 +165,7 @@ def qiao_wei_presentation(n: int, cap: int) -> Presentation:
         for j in range(1, n + 1):
             rels.append(((i, j), (j, j)))
     rels.append(((0,) * cap, (0,) * (cap + 1)))
-    return Presentation(gens, tuple(rels))
+    return tuple(rels)
 
 
 def qiao_wei_truncated(n: int, cap: Optional[int] = None) -> Monoid:

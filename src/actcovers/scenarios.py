@@ -44,6 +44,7 @@ from .kruml import (
 )
 from .monoid import (
     ENUMERATION_BOUND,
+    _first_violated,
     enumerate_monoids,
     is_cancellative,
     is_group,
@@ -262,9 +263,8 @@ def run_qiao_wei(n: int, cap: Optional[int] = None) -> ScenarioReport:
         "powers, and the stabilized powers of each x_k",
         m.order == expected_order, (m.order, expected_order)))
 
-    pres = qiao_wei_presentation(n, cap)
     assignment = tuple(m.index(f"x{i}^1") for i in range(n + 1))
-    violated = pres.holds_in(m, assignment)
+    violated = _first_violated(m, assignment, qiao_wei_presentation(n, cap))
     out.append(Assertion(
         "all defining relations hold in the multiplication table",
         violated is None, violated))

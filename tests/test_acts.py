@@ -505,6 +505,12 @@ class TestPullback:
         with pytest.raises(ValueError, match=f"u = {u!r} out of range"):
             pullback_relation(RZ2, sigma(RZ2, 1), u)
 
+    @pytest.mark.parametrize("u", [-1, 3, None])
+    def test_left_kernel_rejects_out_of_range_u(self, u):
+        # -1 would otherwise be the kernel of left translation by z2
+        with pytest.raises(ValueError, match=f"u = {u!r} out of range"):
+            left_kernel(RZ2, u)
+
     def test_composition_law(self):
         # pullback(pullback(tau, u), v) = pullback(tau, u*v)
         rng = random.Random(11)
@@ -761,6 +767,7 @@ class TestForeignMonoid:
         "cyclic_iso_witness-sigma": lambda: cyclic_iso_witness(Z3, FOREIGN, Z3_DIAGONAL),
         "cyclic_iso_witness-tau": lambda: cyclic_iso_witness(Z3, Z3_DIAGONAL, FOREIGN),
         "unique_up_to_iso": lambda: unique_up_to_iso(Z3, [FOREIGN, FOREIGN]),
+        "unique_up_to_iso-one-entry": lambda: unique_up_to_iso(Z3, [FOREIGN]),
         "pullback_relation-congruence": lambda: pullback_relation(Z3, FOREIGN, 1),
         "pullback_relation-relation": lambda: pullback_relation(Z3, FOREIGN.relation(), 1),
         "is_right_congruence": lambda: is_right_congruence(Z3, FOREIGN.relation()),

@@ -72,8 +72,8 @@ def reference_coessential(g):
     for choice in itertools.product(*fibers):
         closed = subact_closure(src, choice)
         if len(closed) < src.size:
-            return CoverReport("coessential", False, closed)
-    return CoverReport("coessential", True, None)
+            return CoverReport(False, closed)
+    return CoverReport(True, None)
 
 
 def epimorphisms(acts):

@@ -1,7 +1,8 @@
 """Property tests for the Kruml word monoid, its subset system,
 colimits of directed systems, and the congruence and cover searches,
 the (P)/(E) kernels, the coessentiality test and the relation laws
-against their oracles on generated small monoids.
+against their oracles on generated small monoids; and the laws of
+pullbacks and subact closures there.
 
 Hypothesis is a test-only dependency (the `test` extra); without it the
 module is skipped.  Runs are derandomized and keep no example database,
@@ -34,12 +35,14 @@ from actcovers import (  # noqa: E402
     knormalize,
     make_system,
     one_element_act,
+    pullback_relation,
     quotient_act,
     regular_act,
     relation_from_subset,
     relation_to_congruence,
     right_zero_adjoin_one,
     search_sf_coessential_covers,
+    subact_closure,
     verify_universality,
 )
 from actcovers.flatness import _strongly_flat_congruences  # noqa: E402
@@ -382,3 +385,43 @@ def test_relation_laws_match_holds_scan():
 
     check()
     assert kinds == {None, "reflexivity", "symmetry", "transitivity", "compatibility"}
+
+
+def test_pullbacks_compose():
+    # pullback(pullback(tau, u), v) = pullback(tau, u*v), for tau a right
+    # congruence or a subset relation, which need not be one
+    kinds, orders = set(), collections.Counter()
+
+    @settings(SETTINGS, max_examples=200)
+    @given(small_monoids(SCAN_ORDER), st.data())
+    def check(m, data):
+        orders[m.order] += 1
+        point = st.integers(0, m.order - 1)
+        if data.draw(st.booleans(), label="congruence"):
+            tau = data.draw(st.sampled_from(all_right_congruences(m)), label="tau")
+        else:
+            members = data.draw(st.sets(point), label="members") | {0}
+            tau = relation_from_subset(m, sorted(members))
+            kinds.add(is_right_congruence(m, tau)[0])
+        u, v = data.draw(point, label="u"), data.draw(point, label="v")
+        assert (pullback_relation(m, pullback_relation(m, tau, u), v)
+                == pullback_relation(m, tau, m.mul(u, v)))
+
+    check()
+    assert kinds == {False, True}
+    assert max(orders) == SCAN_ORDER, orders
+
+
+@SETTINGS
+@given(small_monoids(SCAN_ORDER), st.data())
+def test_subact_closure_is_the_least_subact_of_its_seed(m, data):
+    # unions of several quotients, so that a seed can miss components
+    congruences = all_right_congruences(m)
+    parts = data.draw(st.lists(st.sampled_from(congruences), min_size=1, max_size=3))
+    a = disjoint_union([quotient_act(m, c) for c in parts])
+    seed = data.draw(st.lists(st.integers(0, a.size - 1), min_size=1, max_size=3))
+    closed = subact_closure(a, seed)
+    assert set(seed) <= set(closed)
+    assert all(a.action[x][s] in closed for x in closed for s in range(m.order))
+    assert all(any(x in a.action[y] for y in seed) for x in closed)
+    assert subact_closure(a, closed) == closed

@@ -1,12 +1,14 @@
-"""Every private helper of the library has a caller, and every import
-is used.
+"""Every private helper of the library has a caller, every import is
+used, and every dataclass field is read.
 
 A module-level private function, class or constant of src/actcovers is
 loaded somewhere in the package outside its own definition: in its own
 module, in a module that imports it by name, or as an attribute.  Every
 name a module imports is loaded in that module; the re-exports of
-__init__.py and __future__ imports are exempt.  Code with no caller is
-deleted rather than kept.  The checks read the source with the standard
+__init__.py and __future__ imports are exempt.  Every field of a
+dataclass the package defines is loaded as an attribute somewhere in the
+package.  Code with no caller, and data with no reader, is deleted
+rather than kept.  The checks read the source with the standard
 library's ast module and import nothing.
 """
 
@@ -112,3 +114,41 @@ def test_an_unused_import_is_named(tmp_path):
         "from __future__ import annotations\n\nimport json\nimport os.path\n"
         "from .b import ActMap, _least_members\n\nVALUE = os.path.sep + _least_members\n")
     assert unused_imports(tmp_path) == [("a.py", "json"), ("a.py", "ActMap")]
+
+
+def _is_dataclass(node):
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if getattr(d, "id", None) == "dataclass" or getattr(d, "attr", None) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(package=PACKAGE):
+    """(module, class, field) for each field of a dataclass of the
+    package that no code of the package loads as an attribute, in file
+    and then source order."""
+    trees = {p.stem: ast.parse(p.read_text(), str(p))
+             for p in sorted(package.glob("*.py"))}
+    read = set().union(*(_loaded(tree)[1] for tree in trees.values()))
+    return [(module, node.name, stmt.target.id)
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read]
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields() == []
+
+
+def test_an_unread_field_is_named(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass Report:\n    kind: str\n    verdict: bool\n"
+        "    LIMIT = 3\n\n\n@dataclasses.dataclass\nclass Pair:\n    left: int\n"
+        "    right: int\n\n\nclass Plain:\n    label: str\n")
+    (tmp_path / "b.py").write_text(
+        "def f(report, pair):\n    pair.right = 0\n    return report.verdict, pair.left\n")
+    assert unread_fields(tmp_path) == [("a", "Report", "kind"), ("a", "Pair", "right")]
