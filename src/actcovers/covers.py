@@ -123,10 +123,10 @@ def search_sf_coessential_covers(
 
 
 def unique_up_to_iso(m: Monoid, congruences: Sequence[RightCongruence]) -> bool:
-    """Whether all the listed cyclic quotients are isomorphic: each is
-    compared with the first alone, since cyclic_iso_witness decides
-    isomorphism exactly and isomorphism is an equivalence relation."""
-    for s in congruences:
-        _require_monoid(m, s)
+    """Whether all the listed cyclic quotients are isomorphic: each is compared
+    with the first alone (isomorphism is an equivalence relation) by
+    cyclic_iso_witness, which also checks the monoid of each entry."""
+    if len(congruences) == 1:
+        _require_monoid(m, congruences[0])
     return all(cyclic_iso_witness(m, congruences[0], s) is not None
                for s in congruences[1:])

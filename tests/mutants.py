@@ -11,10 +11,9 @@ changed, and the mutant is rewritten in the change that moved the code.
 Run from the repository root, with pytest (and Hypothesis, for the
 property tests) installed:
 
-    python tests/mutants.py             # every mutant
-    python tests/mutants.py NAME ...    # the named mutants only
+    python tests/mutants.py
 
-The exit status is 0 exactly when every mutant run is killed and none is
+The exit status is 0 exactly when every mutant is killed and none is
 stale.  The harness uses the standard library only; pytest does not
 collect this file.
 """
@@ -101,7 +100,7 @@ MUTANTS = (
         ("tests/test_acts.py::TestPullback::test_left_kernel_rejects_out_of_range_u",)),
     Mutant(
         "unique-entries-unchecked", "covers.py",
-        "    for s in congruences:\n        _require_monoid(m, s)\n",
+        "    if len(congruences) == 1:\n        _require_monoid(m, congruences[0])\n",
         "",
         ("tests/test_acts.py::TestForeignMonoid",)),
     Mutant(
@@ -112,7 +111,7 @@ MUTANTS = (
 )
 
 
-def stale(mutants=MUTANTS, src=SRC) -> list[str]:
+def stale(mutants, src) -> list[str]:
     """Names of the mutants whose old text does not occur exactly once
     in their file under src."""
     return [mu.name for mu in mutants
@@ -135,16 +134,10 @@ def run(mu: Mutant) -> str:
     return {0: "survived", 1: "killed"}.get(code, "error")
 
 
-def main(argv=None) -> int:
-    names = sys.argv[1:] if argv is None else argv
-    unknown = set(names) - {mu.name for mu in MUTANTS}
-    if unknown:
-        print(f"unknown mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    chosen = [mu for mu in MUTANTS if not names or mu.name in names]
-    gone = set(stale(chosen))
+def main() -> int:
+    gone = set(stale(MUTANTS, SRC))
     ok = True
-    for mu in chosen:
+    for mu in MUTANTS:
         verdict = "stale" if mu.name in gone else run(mu)
         ok &= verdict == "killed"
         print(f"{verdict:8}  {mu.name}  ({mu.file})", flush=True)
