@@ -310,28 +310,32 @@ def is_right_congruence(m: Monoid, rel: Relation):
     ("transitivity", (s, t, u)) with s~t, t~u but not s~u, or
     ("compatibility", (s, t, u)) with s~t but not s*u ~ t*u.
 
-    The laws are decided on the row masks, read bit by bit in
+    An equivalence is accepted in one pass: the rows are numbered by
+    _canonical, and every row must equal the OR of its class's members
+    (RightCongruence.relation); only compatibility is then scanned, on
+    that class vector.  Any other relation breaks one of the first
+    three laws, decided on the row masks, read bit by bit in
     lexicographic order: for each s~t, symmetry fails when row t lacks
     s, and transitivity at the lowest set bit of rows[t] & ~rows[s].
     """
     _require_monoid(m, rel)
     rows = rel.rows
+    class_of = _canonical(rows)
+    if _trusted(RightCongruence, m, class_of).relation().rows == rows:
+        # with r < s related, (s, t, u) failing makes (r, s, u) or
+        # (r, t, u) fail, so the class scan finds the lexicographic witness
+        bad = _compatibility_failure(m.table, class_of)
+        return (True, None) if bad is None else (False, ("compatibility", bad))
     for s, row in enumerate(rows):
         if not row >> s & 1:
             return False, ("reflexivity", (s,))
     for s, t in _pairs(rows):
         if not rows[t] >> s & 1:
             return False, ("symmetry", (s, t))
-    for s, t in _pairs(rows):
-        bad = rows[t] & ~rows[s]
-        if bad:
-            return False, ("transitivity", (s, t, _low(bad)))
-    # with r < s related, (s, t, u) failing makes (r, s, u) or (r, t, u)
-    # fail, so the class scan finds the lexicographic witness
-    bad = _compatibility_failure(m.table, _canonical(map(_low, rows)))
-    if bad is not None:
-        return False, ("compatibility", bad)
-    return True, None
+    # reflexive and symmetric but not an equivalence, so some s~t has
+    # rows[t] not within rows[s]
+    s, t = next((s, t) for s, t in _pairs(rows) if rows[t] & ~rows[s])
+    return False, ("transitivity", (s, t, _low(rows[t] & ~rows[s])))
 
 
 def relation_to_congruence(m: Monoid, rel: Relation) -> RightCongruence:

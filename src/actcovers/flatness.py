@@ -41,8 +41,11 @@ e*x = e*u*x = e*u*y = e*y; and e lies in P.  So sigma_P = ker lambda_e.
 u = e lies in [1] (e*e = e*1) and has e*x = e*y.
 
 So the cover search needs one candidate per idempotent instead of one
-per right congruence (_strongly_flat_congruences); is_strongly_flat on
-the built quotients of every congruence is its oracle in the tests.
+per right congruence (_strongly_flat_congruences), and the rightzero
+and qiao-wei scenarios decide a quotient by looking its congruence up
+there, scanning (P)/(E) only for a failing quotient's witness.
+is_strongly_flat on the built quotients of every congruence is the
+lookup's oracle in the tests.
 """
 
 from __future__ import annotations

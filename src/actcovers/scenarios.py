@@ -31,7 +31,7 @@ from .acts import (
 )
 from .covers import is_coessential, search_sf_coessential_covers, unique_up_to_iso
 from .errors import OrderTooLargeError, TooFewSamplesError
-from .flatness import is_strongly_flat
+from .flatness import _strongly_flat_congruences, is_strongly_flat
 from .kruml import (
     FinXSystem,
     _append_rows,
@@ -153,6 +153,15 @@ def qiao_rho(m) -> Relation:
         zero if zero >> s & 1 else rest for s in range(m.order)))
 
 
+def _non_flat(m, sigmas):
+    """(index in sigmas, FlatnessReport) for each sigma that is not ker
+    lambda_e for an idempotent e, so whose quotient is not strongly flat;
+    the (P)/(E) scans run only on such a quotient, for its least witness."""
+    flat = {k.class_of for k in _strongly_flat_congruences(m)}
+    return [(i, is_strongly_flat(quotient_act(m, s)))
+            for i, s in enumerate(sigmas) if s.class_of not in flat]
+
+
 def _pairwise_isomorphic(m, named):
     """(all certified, pairs): each pair of (name, sigma) as (name, name,
     label of the least translation witness u, or None).  u certifies the
@@ -172,7 +181,9 @@ def run_rightzero(n: int) -> ScenarioReport:
 
     The cover search reads its candidates off the idempotents, one
     kernel of left translation each; that list equals the scan of every
-    right congruence which the search assertion's text names."""
+    right congruence which the search assertion's text names.  The
+    flatness assertion looks each sigma_{z_i} up among those kernels and
+    runs the (P)/(E) scans only on a quotient that fails."""
     if not 1 <= n <= 5:
         raise ValueError("n must be between 1 and 5")
     started = time.perf_counter()
@@ -195,17 +206,15 @@ def run_rightzero(n: int) -> ScenarioReport:
         distinct,
         [[ [m.label(x) for x in k] for k in s.classes] for s in sigmas]))
 
-    quotients = [quotient_act(m, s) for s in sigmas]
-    flat_reports = [is_strongly_flat(q) for q in quotients]
     bad_flat = [
         (f"z{i + 1}", ("P", r.p_witness) if not r.condition_p else ("E", r.e_witness))
-        for i, r in enumerate(flat_reports) if not r.strongly_flat
+        for i, r in _non_flat(m, sigmas)
     ]
     out.append(Assertion(
         "every quotient S/sigma_{z_i} is strongly flat",
         not bad_flat, bad_flat or None))
 
-    coess = [is_coessential(projection_to_one(q)) for q in quotients]
+    coess = [is_coessential(projection_to_one(quotient_act(m, s))) for s in sigmas]
     bad_coess = [
         (f"z{i + 1}", r.witness) for i, r in enumerate(coess) if not r.verdict
     ]
@@ -246,6 +255,10 @@ def run_qiao_wei(n: int, cap: Optional[int] = None) -> ScenarioReport:
     monoid module), which fixes the element count; and the pullback of
     sigma_j along x_0 is the kernel of left translation by x_0, which
     is strictly finer than the full relation once cap >= 2.
+
+    Strong flatness of S/sigma_i is decided by looking sigma_i up among
+    the kernels of left translation by the idempotents; the (P)/(E)
+    scans run only on a quotient that fails, for its least witness.
     """
     if not 1 <= n <= 4:
         raise ValueError("n must be between 1 and 4")
@@ -332,12 +345,7 @@ def run_qiao_wei(n: int, cap: Optional[int] = None) -> ScenarioReport:
     out.append(Assertion(
         "x_j^j is a right zero inside the class of 1", rz_ok, rz_wit))
 
-    quotients = [quotient_act(m, s) for s in sigmas]
-    flat_bad = []
-    for i in range(1, n + 1):
-        r = is_strongly_flat(quotients[i])
-        if not r.strongly_flat:
-            flat_bad.append((i, r.p_witness, r.e_witness))
+    flat_bad = [(i, r.p_witness, r.e_witness) for i, r in _non_flat(m, sigmas) if i >= 1]
     out.append(Assertion(
         "every S/sigma_i (i >= 1) is strongly flat",
         not flat_bad, flat_bad or None))
@@ -361,7 +369,7 @@ def run_qiao_wei(n: int, cap: Optional[int] = None) -> ScenarioReport:
     out.append(Assertion(
         "S/sigma_0 is the one-element act and is not isomorphic to "
         "S/sigma_1",
-        quotients[0].size == 1
+        max(sigmas[0].class_of) == 0
         and cyclic_iso_witness(m, sigmas[0], sigmas[1]) is None,
         None))
     return _finish(f"qiao-wei(n={n},cap={cap})", out, None, started)

@@ -108,6 +108,22 @@ MUTANTS = (
         "            elif f[y] != fy:\n                return None\n",
         "",
         ("tests/test_acts.py::TestHoms",)),
+    Mutant(
+        "scenario-flatness-all-flat", "scenarios.py",
+        "for i, s in enumerate(sigmas) if s.class_of not in flat]",
+        "for i, s in enumerate(sigmas) if False]",
+        ("tests/test_scenarios.py::TestFlatnessFromKernels",)),
+    Mutant(
+        "equivalence-pass-rows-unchecked", "acts.py",
+        "    if _trusted(RightCongruence, m, class_of).relation().rows == rows:\n",
+        "    if True:\n",
+        ("tests/test_acts.py::TestAgainstHoldsScan",
+         "tests/test_properties.py::test_relation_laws_match_holds_scan")),
+    Mutant(
+        "qiao-wei-associative-wrong-product", "monoid.py",
+        "return (j, min(p + q, stable(j)))",
+        "return (j, q)",
+        ("tests/test_monoid.py::TestQiaoWei::test_defining_products",)),
 )
 
 

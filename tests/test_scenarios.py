@@ -12,9 +12,11 @@ from actcovers import (
     OrderTooLargeError,
     TooFewSamplesError,
     congruence_from_partition,
+    is_strongly_flat,
     kmul,
     knormalize,
     normal_words,
+    quotient_act,
     right_zero_adjoin_one,
 )
 from actcovers import acts, covers, scenarios
@@ -167,6 +169,30 @@ class TestIsomorphismsFromWitness:
         named = [("z1", z1), ("z2", z2), ("split", split)]
         assert scenarios._pairwise_isomorphic(m, named) == (False, [
             ("z1", "z2", "z1"), ("z1", "split", None), ("z2", "split", None)])
+
+
+class TestFlatnessFromKernels:
+    def test_no_scenario_scans_a_flat_quotient(self, monkeypatch):
+        calls = []
+        original = scenarios.is_strongly_flat
+
+        def counted(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(scenarios, "is_strongly_flat", counted)
+        reports = [run_rightzero(n) for n in range(1, 6)]
+        reports += [run_qiao_wei(n, cap) for n in range(1, 5) for cap in range(1, 7)]
+        assert all(rep.passed for rep in reports)
+        assert calls == []
+
+    def test_only_a_failing_quotient_is_scanned_under_its_own_index(self):
+        m = right_zero_adjoin_one(2)
+        z1, z2 = rightzero_sigmas(m)[0]
+        split = congruence_from_partition(m, ((0,), (1, 2)))
+        report = is_strongly_flat(quotient_act(m, split))
+        assert not report.strongly_flat
+        assert scenarios._non_flat(m, [z1, z2, split]) == [(2, report)]
 
 
 class TestKruml:
