@@ -6,16 +6,21 @@ all i <= j.  Oriented right to left this is the rewrite rule
 
     a_m a_i  ->  a_i a_(m-1)      whenever m > i,
 
-which strictly decreases the index sum, so rewriting terminates; the
-only overlaps are confluent, so every word has a unique normal form:
-the words with nondecreasing indices, found in one insertion pass:
-prepending a_m to a normal word moves a_m right past each smaller
-letter, m dropping by one at each step.  Appending a_i to a normal word
-moves a_i left past each larger letter, and each of those letters drops
-by one: w*a_i is w's letters <= i, then i, then w's larger letters
-each minus one.  Multiplication is concatenate then normalize.  Left
-multiplication is injective (cancellable); right multiplication is
-not, e.g. a0*a0 = a1*a0 and a2*a1 = a1*a1.
+which strictly decreases the index sum, so rewriting terminates.  The
+only overlaps are a_m a_i a_j with m > i > j, and both reducts join:
+
+    a_i a_(m-1) a_j  ->  a_i a_j a_(m-2)  ->  a_j a_(i-1) a_(m-2)
+    a_m a_j a_(i-1)  ->  a_j a_(m-1) a_(i-1)  ->  a_j a_(i-1) a_(m-2)
+
+so rewriting is confluent (Newman's lemma), and every word has a unique
+normal form: the words with nondecreasing indices, found in one
+insertion pass: prepending a_m to a normal word moves a_m right past
+each smaller letter, m dropping by one at each step.  Appending a_i to
+a normal word moves a_i left past each larger letter, and each of those
+letters drops by one: w*a_i is w's letters <= i, then i, then w's
+larger letters each minus one.  Multiplication is concatenate then
+normalize.  Left multiplication is injective (cancellable); right
+multiplication is not, e.g. a0*a0 = a1*a0 and a2*a1 = a1*a1.
 
 FinXSystem models the directed system indexed by finite subsets Y of
 an ordered label set X: each object is a copy of the monoid, and the
@@ -103,36 +108,62 @@ def right_cancellation_counterexamples(max_index: int) -> list[tuple[int, int, i
     return out
 
 
-def _append_rows(max_len: int, max_index: int, letters: int):
-    """(w, row) for each word w of normal_words(max_len, max_index), in
-    its order, where row[i] is the normal form of w*a_i for i < letters.
+def _products(codes: list, i: int, shift: int) -> list:
+    """The code of w*a_i for each code of a normal word w, B = 1 << shift:
+    the letters <= i stay, one more i comes, each larger one drops by one."""
+    low = 1 << i * shift  # B**i
+    high = low << shift  # B**(i+1)
+    return [c % high + low + c // high * low for c in codes]
 
-    Each row is built from the parent's: the child c = w + (x,) of w has
-    row entry (normal form of w*a_i) + (x - 1,) for i < x, since a_i
-    moves left past x, which drops by one, and c + (i,) for i >= x,
-    since i is at least every letter of c.  The walk keeps its own stack, so long words cannot
-    exhaust the interpreter's recursion limit.
-    """
-    ones = [(i,) for i in range(letters)]
-    stack = [((), ())]
-    while stack:
-        w, up = stack.pop()
-        x = w[-1] if w else 0
-        down = (x - 1,)
-        row = [r + down for r in up[:x]]
-        row += [w + one for one in ones[x:]]
-        yield w, row
-        if len(w) < max_len:
-            # pushed last letter first, so the least one is walked first
-            stack += [(w + (y,), row) for y in range(max_index, x - 1, -1)]
+
+def _coded_rows(max_len: int, max_index: int, letters: int):
+    """(shift, groups) for the words of normal_words(max_len, max_index),
+    each coded by its letter counts as the sum of B**letter, B = 1 << shift.
+    groups yields (codes, rows) level by level, each level by last letter
+    and then by the parent words' last letter; rows[i][k] is the code of
+    codes[k]*a_i for i < letters.  The walk keeps the level it extends and
+    the one it builds, not the last, so memory stays a few groups deep."""
+    shift = (max_len + 1).bit_length()  # a count never exceeds max_len + 1
+
+    def groups():
+        level = [[0]] + [[] for _ in range(max_index)]  # the empty word, under a_0
+        yield level[0], [_products(level[0], i, shift) for i in range(letters)]
+        for length in range(1, max_len + 1):
+            nxt = [[] for _ in level]
+            for y in range(max_index + 1):
+                one = 1 << y * shift
+                for x in range(y + 1):  # a_y may follow the words ending in a_x <= a_y
+                    codes = [c + one for c in level[x]]
+                    yield codes, [_products(codes, i, shift) for i in range(letters)]
+                    if length < max_len:
+                        nxt[y] += codes
+            level = nxt
+
+    return shift, groups()
+
+
+def _decode(code: int, shift: int) -> KWord:
+    """The normal word with the letter counts of code."""
+    counts = [code >> x * shift & (1 << shift) - 1 for x in range(code.bit_length() // shift + 1)]
+    return tuple(x for x, n in enumerate(counts) for _ in range(n))
 
 
 def normal_words(max_len: int, max_index: int):
     """All normal-form words up to the given length and index bound, in
-    depth-first prefix order: each word right before its extensions."""
+    depth-first prefix order, which is tuple order: each word right before
+    its extensions.  The walk keeps its own stack, so long words cannot
+    exhaust the interpreter's recursion limit."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    return (w for w, _ in _append_rows(max_len, max_index, 0))
+
+    def walk(stack):
+        while stack:
+            w = stack.pop()
+            yield w
+            if len(w) < max_len:  # greatest letter pushed first, least walked first
+                stack += [w + (y,) for y in range(max_index, (w[-1] if w else 0) - 1, -1)]
+
+    return walk([()])
 
 
 @dataclass(frozen=True)

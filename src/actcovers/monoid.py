@@ -1,11 +1,12 @@
 """Finite monoids as validated multiplication tables.
 
 A monoid is stored as a tuple of element labels plus an n x n table of
-element indices.  The identity always sits at index 0; every constructor
+element indices.  The identity always sits at index 0; the constructor
 checks the identity law, associativity, and index bounds before handing
 the table out, so any Monoid in circulation is a genuine monoid.
 
-Two families from the cover-theory scenarios are built here:
+Two families from the cover-theory scenarios are built here, monoids by
+construction, unchecked (the tests rebuild each through the checks):
 
 * ``right_zero_adjoin_one(n)``: a right-zero semigroup {z1..zn} with an
   identity adjoined (x * zj = zj for every x).
@@ -72,9 +73,10 @@ class Monoid:
                 for c in range(n):
                     if tab[c] != ta[tb[c]]:
                         raise NotAssociativeError(a, b, c)
-        object.__setattr__(
-            self, "_index", {lab: i for i, lab in enumerate(self.elements)}
-        )
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        return {lab: i for i, lab in enumerate(self.elements)}
 
     @property
     def order(self) -> int:
@@ -124,6 +126,13 @@ def build_from_table(elements, table) -> Monoid:
     return Monoid(tuple(elements), tuple(tuple(row) for row in table))
 
 
+def _trusted_monoid(elements, table) -> Monoid:
+    """The Monoid of a table that is one by construction, unchecked."""
+    m = object.__new__(Monoid)
+    m.__dict__.update(elements=tuple(elements), table=tuple(map(tuple, table)))
+    return m
+
+
 def _first_violated(m: Monoid, assignment: tuple[int, ...], relations) -> Optional[tuple]:
     """First (lhs, rhs) pair of words, tuples of generator indices with
     generator i read as assignment[i], whose words name different
@@ -148,7 +157,7 @@ def right_zero_adjoin_one(n: int) -> Monoid:
         table[i][0] = i
         for j in range(1, size):
             table[i][j] = j
-    return build_from_table(labels, table)
+    return _trusted_monoid(labels, table)
 
 
 def qiao_wei_presentation(n: int, cap: int) -> tuple:
@@ -217,7 +226,7 @@ def qiao_wei_truncated(n: int, cap: Optional[int] = None) -> Monoid:
     index = {form: i for i, form in enumerate(forms)}
     size = len(forms)
     table = [[index[mul(forms[i], forms[j])] for j in range(size)] for i in range(size)]
-    return build_from_table([name(f) for f in forms], table)
+    return _trusted_monoid([name(f) for f in forms], table)
 
 
 def is_cancellative(m: Monoid, side: str):

@@ -34,7 +34,8 @@ from .errors import OrderTooLargeError, TooFewSamplesError
 from .flatness import _strongly_flat_congruences, is_strongly_flat
 from .kruml import (
     FinXSystem,
-    _append_rows,
+    _coded_rows,
+    _decode,
     is_normal,
     knormalize,
     knormalize_random,
@@ -376,7 +377,8 @@ def run_qiao_wei(n: int, cap: Optional[int] = None) -> ScenarioReport:
 
 
 def _random_word(rng: random.Random) -> tuple:
-    return tuple(rng.randint(0, 8) for _ in range(rng.randint(0, 10)))
+    # randrange(n) draws what randint(0, n - 1) draws, with fewer calls
+    return tuple(rng.randrange(9) for _ in range(rng.randrange(11)))
 
 
 def _lattice_commutes(fs: FinXSystem, subsets: list, words: list) -> bool:
@@ -468,16 +470,16 @@ def run_kruml(seed: int, samples: int = 1000) -> ScenarioReport:
         f"({samples} samples)",
         cancel_bad is None, cancel_bad))
 
+    # each exhaustive scan reports its least failing word in tuple order
     inj_bad = None
-    for w, row in _append_rows(6, 8, 9):
-        if len(set(row)) < 9:
-            seen = {}
-            for i, r in enumerate(row):
-                if r in seen:
-                    inj_bad = (list(w), seen[r], i)
-                    break
-                seen[r] = i
-            break
+    shift, groups = _coded_rows(6, 8, 9)
+    bad = []
+    for codes, rows in groups:
+        bad += [(c, row) for c, row in zip(codes, zip(*rows)) if len(set(row)) < 9]
+    if bad:
+        w, row = min((_decode(c, shift), row) for c, row in bad)
+        i = next(i for i, r in enumerate(row) if r in row[:i])
+        inj_bad = (list(w), row.index(row[i]), i)
     out.append(Assertion(
         "appending distinct letters to any normal word of length <= 6 "
         "gives distinct normal forms (exhaustive, letters a_0..a_8)",
@@ -526,11 +528,11 @@ def run_kruml(seed: int, samples: int = 1000) -> ScenarioReport:
         [list(fs.transition(("x",), ("x", "y"), ())),
          list(fs.transition(("y",), ("x", "y"), ()))]))
 
-    eq_bad = None
-    for w, (r0, r1) in _append_rows(8, 8, 2):
-        if r0 == r1:
-            eq_bad = list(w)
-            break
+    shift, groups = _coded_rows(8, 8, 2)
+    bad = []
+    for codes, (r0, r1) in groups:
+        bad += [c for c, x, y in zip(codes, r0, r1) if x == y]
+    eq_bad = list(min(_decode(c, shift) for c in bad)) if bad else None
     out.append(Assertion(
         "no word of length <= 8 equalizes the letter maps of a_0 and a_1",
         eq_bad is None, eq_bad))

@@ -124,6 +124,36 @@ MUTANTS = (
         "return (j, min(p + q, stable(j)))",
         "return (j, q)",
         ("tests/test_monoid.py::TestQiaoWei::test_defining_products",)),
+    Mutant(
+        "kruml-product-without-new-letter", "kruml.py",
+        "return [c % high + low + c // high * low for c in codes]",
+        "return [c % high + c // high * low for c in codes]",
+        ("tests/test_kruml.py::TestAppend",)),
+    Mutant(
+        "kruml-product-larger-letters-kept", "kruml.py",
+        "return [c % high + low + c // high * low for c in codes]",
+        "return [c % high + low + c // high * high for c in codes]",
+        ("tests/test_kruml.py::TestAppend",)),
+    Mutant(
+        "kruml-walk-skips-equal-letter", "kruml.py",
+        "for x in range(y + 1):",
+        "for x in range(y):",
+        ("tests/test_kruml.py::TestAppend",)),
+    Mutant(
+        "universality-two-mediators-accepted", "colimit.py",
+        "if len(matching) != 1:",
+        "if len(matching) < 1:",
+        ("tests/test_colimit.py::TestUniversality",)),
+    Mutant(
+        "monoid-identity-column-unchecked", "monoid.py",
+        "if self.table[0][i] != i or self.table[i][0] != i:",
+        "if self.table[0][i] != i:",
+        ("tests/test_monoid.py::TestValidation",)),
+    Mutant(
+        "rightzero-not-associative", "monoid.py",
+        "            table[i][j] = j\n",
+        "            table[i][j] = j % n + 1\n",
+        ("tests/test_monoid.py::TestTrustedFamilies",)),
 )
 
 

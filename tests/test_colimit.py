@@ -411,3 +411,14 @@ class TestUniversality:
         }
         fake_res = ColimitResult(fake, inj)
         assert not verify_universality(system, fake_res, S)
+
+    def test_two_mediators_rejected(self):
+        # theta at one node, against the candidate theta + theta with the
+        # first copy as injection: the stray second copy may go to either
+        # copy of the probe theta + theta, so each cocone has two mediators
+        system = make_system(("n",), [], {"n": THETA}, {})
+        twice = disjoint_union([THETA, THETA])
+        res = ColimitResult(twice, {"n": ActMap(THETA, twice, (0,))})
+        assert len(cocones(system, twice)) == 2
+        assert len(homs(twice, twice)) == 4
+        assert not verify_universality(system, res, twice)

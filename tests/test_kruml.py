@@ -23,7 +23,7 @@ from actcovers import (
     normal_words,
     right_cancellation_counterexamples,
 )
-from actcovers.kruml import _append_rows
+from actcovers.kruml import _coded_rows, _decode
 
 
 def rightmost_normalize(word):
@@ -134,17 +134,64 @@ class TestMultiplication:
         assert right_cancellation_counterexamples(2) == [(0, 1, 0), (1, 2, 1)]
 
 
+def rewrite_at(word, p):
+    # one step of a_m a_i -> a_i a_(m-1) at positions p, p + 1
+    w = list(word)
+    assert w[p] > w[p + 1]
+    w[p], w[p + 1] = w[p + 1], w[p] - 1
+    return tuple(w)
+
+
+class TestConfluence:
+    # the only overlaps of the rule are a_m a_i a_j with m > i > j; with
+    # termination, their joining makes the rewriting confluent
+    def test_critical_pairs_join_at_the_normal_form(self):
+        pairs = 0
+        for m, i, j in itertools.combinations(range(7, -1, -1), 3):
+            overlap = (m, i, j)
+            left, right = rewrite_at(overlap, 0), rewrite_at(overlap, 1)
+            # the two joining steps of each side, as the module docstring
+            # derives them
+            joined = (j, i - 1, m - 2)
+            assert rewrite_at(rewrite_at(left, 1), 0) == joined
+            assert rewrite_at(rewrite_at(right, 0), 1) == joined
+            assert knormalize(overlap) == knormalize(left) == knormalize(right) == joined
+            pairs += 1
+        assert pairs == 56
+
+
+def code_of(word, shift):
+    # a normal word's letter-count code, as _coded_rows lists it
+    return sum(1 << x * shift for x in word)
+
+
+def coded_words(max_len, max_index, letters):
+    # the kernel's words, checked to be coded by their letter counts, and
+    # its rows, each joined over the groups it yields
+    shift, groups = _coded_rows(max_len, max_index, letters)
+    codes, rows = [], [[] for _ in range(letters)]
+    for group, group_rows in groups:
+        assert len(group_rows) == letters
+        codes += group
+        for row, part in zip(rows, group_rows):
+            assert len(part) == len(group)
+            row += part
+    words = [_decode(c, shift) for c in codes]
+    assert [code_of(w, shift) for w in words] == codes
+    return shift, words, rows
+
+
 class TestAppend:
-    # _append_rows yields each normal word with the normal forms of w*a_i
-    # built from its parent's row; the oracle is knormalize on the
+    # _coded_rows codes each normal word by its letter counts and gives
+    # the code of w*a_i in closed form; the oracle is knormalize on the
     # concatenation, on every input the kruml scenario feeds it
     @staticmethod
     def check_rows(max_len, max_index, letters):
-        walked = 0
-        for w, row in _append_rows(max_len, max_index, letters):
-            assert row == [knormalize(w + (i,)) for i in range(letters)], w
-            walked += 1
-        return walked
+        shift, words, rows = coded_words(max_len, max_index, letters)
+        assert sorted(words) == list(normal_words(max_len, max_index))
+        for i, row in enumerate(rows):
+            assert row == [code_of(knormalize(w + (i,)), shift) for w in words], i
+        return len(words)
 
     def test_matches_normalize_on_injectivity_inputs(self):
         assert self.check_rows(6, 8, 9) == 5005
@@ -156,22 +203,27 @@ class TestAppend:
         assert self.check_rows(8, 8, 9) == 24310
 
     def test_matches_normalize_on_long_words(self):
-        # few letters reach long words, where a_i moves far left
+        # few letters reach long words, where a_i moves far left; letters
+        # above max_index + 1 pass every letter and only add their digit
         assert self.check_rows(40, 1, 3) == 861
-        assert self.check_rows(12, 2, 4) == 455
+        assert self.check_rows(12, 2, 6) == 455
 
-    def test_words_are_normal_words_in_order(self):
+    def test_words_are_the_normal_words_level_by_level(self):
         for args in ((6, 8), (8, 8), (4, 4), (5, 2), (3, -1), (0, 3)):
             for letters in (0, 2, 9):
-                assert [w for w, _ in _append_rows(*args, letters)] == \
-                    list(normal_words(*args))
+                _, words, _ = coded_words(*args, letters)
+                assert sorted(words) == list(normal_words(*args))
+                assert [len(w) for w in words] == sorted(len(w) for w in words)
 
     def test_frozen_examples(self):
-        rows = dict(_append_rows(3, 5, 6))
-        assert rows[()][3] == (3,)
-        assert rows[(0, 2, 5)][2] == (0, 2, 2, 4)
-        assert rows[(1, 1)][0] == (0, 0, 0)
-        assert rows[(0, 1)][4] == (0, 1, 4)
+        shift, words, rows = coded_words(3, 5, 6)
+        product = {(w, i): _decode(row[k], shift)
+                   for i, row in enumerate(rows) for k, w in enumerate(words)}
+        assert product[(), 3] == (3,)
+        assert product[(0, 2, 5), 2] == (0, 2, 2, 4)
+        assert product[(1, 1), 0] == (0, 0, 0)
+        assert product[(0, 1), 4] == (0, 1, 4)
+        assert shift == 3 and code_of((0, 2, 2, 4), shift) == 1 + 2 * 8 ** 2 + 8 ** 4
 
 
 def recursive_normal_words(max_len, max_index):

@@ -57,6 +57,12 @@ class TestValidation:
         with pytest.raises(NoIdentityError):
             Monoid(("a", "b"), ((1, 0), (0, 1)))
 
+    def test_identity_column_checked(self):
+        # row 0 is the identity's, but z * 1 = 1: a right-zero semigroup
+        # with no identity, caught only by the column test
+        with pytest.raises(NoIdentityError):
+            Monoid(("1", "z"), ((0, 1), (0, 1)))
+
     def test_associativity_witness(self):
         # right-zero-ish table broken at one cell
         with pytest.raises(NotAssociativeError) as err:
@@ -119,6 +125,30 @@ class TestRightZero:
 
     def test_not_group(self):
         assert not is_group(right_zero_adjoin_one(2))
+
+
+class TestTrustedFamilies:
+    # the two scenario families skip the constructor's checks; rebuilding
+    # each through build_from_table checks them and must give an equal
+    # monoid
+    @staticmethod
+    def rebuilt(m):
+        return build_from_table(m.elements, m.table)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rightzero(self, n):
+        m = right_zero_adjoin_one(n)
+        assert self.rebuilt(m) == m
+
+    def test_qiao_wei_grid(self):
+        for n in range(1, 5):
+            for cap in range(1, 7):
+                m = qiao_wei_truncated(n, cap)
+                assert self.rebuilt(m) == m, (n, cap)
+
+    def test_qiao_wei_8_8(self):
+        m = qiao_wei_truncated(8, 8)
+        assert self.rebuilt(m) == m
 
 
 class TestQiaoWei:

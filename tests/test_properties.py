@@ -46,7 +46,7 @@ from actcovers import (  # noqa: E402
     verify_universality,
 )
 from actcovers.flatness import _strongly_flat_congruences  # noqa: E402
-from actcovers.kruml import _append_rows  # noqa: E402
+from actcovers.kruml import _coded_rows, _decode  # noqa: E402
 from test_acts import (  # noqa: E402
     classes_of,
     reference_is_right_congruence,
@@ -173,12 +173,17 @@ def test_knormalize_is_the_rightmost_normal_form(w):
 @SETTINGS
 @given(st.integers(0, 5), st.integers(0, 4), st.integers(0, 9))
 def test_append_is_the_normal_form_of_the_product(max_len, max_index, letters):
-    # each row, built from its parent's, against normalizing the product
-    # afresh; letters above and below max_index + 1 both occur
-    for w, row in _append_rows(max_len, max_index, letters):
-        for i, r in enumerate(row):
-            assert r == knormalize(w + (i,)) == rightmost_normalize(w + (i,))
-        assert len(row) == letters
+    # each coded product against normalizing the product afresh; letters
+    # above and below max_index + 1 both occur
+    shift, groups = _coded_rows(max_len, max_index, letters)
+    for codes, rows in groups:
+        assert len(rows) == letters
+        for k, code in enumerate(codes):
+            w = _decode(code, shift)
+            assert is_normal(w) and len(w) <= max_len
+            for i, row in enumerate(rows):
+                r = _decode(row[k], shift)
+                assert r == knormalize(w + (i,)) == rightmost_normalize(w + (i,))
 
 
 @SETTINGS

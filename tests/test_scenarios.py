@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -19,7 +20,7 @@ from actcovers import (
     quotient_act,
     right_zero_adjoin_one,
 )
-from actcovers import acts, covers, scenarios
+from actcovers import acts, covers, kruml, scenarios
 from actcovers.scenarios import (
     KRUML_SAMPLE_FLOOR,
     run_kruml,
@@ -212,6 +213,17 @@ class TestKruml:
         with pytest.raises(TooFewSamplesError):
             run_kruml(0, KRUML_SAMPLE_FLOOR - 1)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 12345])
+    def test_sampled_words_are_the_randint_stream(self, seed):
+        # a passing report's witnesses are None, so its bytes would not
+        # show a changed stream: pin the words, and the generator state
+        # after them, against the randint form they were first drawn with
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(3000):
+            want = tuple(theirs.randint(0, 8) for _ in range(theirs.randint(0, 10)))
+            assert scenarios._random_word(ours) == want
+        assert ours.getstate() == theirs.getstate()
+
 
 class TestKrumlWitnessOrder:
     """Break one step of run_kruml and compare the witness it reports with
@@ -265,17 +277,19 @@ class TestKrumlWitnessOrder:
 
     @staticmethod
     def _perturb_rows(monkeypatch, perturb):
-        # run_kruml gets the rows of _append_rows, each entry taken through
-        # the perturbed product; the oracle gets the same perturbation of
-        # kmul
-        real = scenarios._append_rows
+        # run_kruml gets each coded product of kruml._products taken
+        # through the perturbed product; the oracle gets the same
+        # perturbation of kmul
+        real = kruml._products
 
-        def rows(max_len, max_index, letters):
-            for w, row in real(max_len, max_index, letters):
-                product = perturb(lambda u, v: row[v[0]])
-                yield w, [product(w, (i,)) for i in range(letters)]
+        def products(codes, i, shift):
+            def mul(u, v):
+                return real([sum(1 << x * shift for x in u)], v[0], shift)[0]
 
-        monkeypatch.setattr(scenarios, "_append_rows", rows)
+            product = perturb(mul)
+            return [product(kruml._decode(c, shift), (i,)) for c in codes]
+
+        monkeypatch.setattr(kruml, "_products", products)
         return perturb(kmul)
 
     @pytest.mark.parametrize("length,head,i,j", [(4, (2,), 7, 5), (0, (), 3, 1),
