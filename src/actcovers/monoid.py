@@ -5,8 +5,10 @@ element indices.  The identity always sits at index 0; the constructor
 checks the identity law, associativity, and index bounds before handing
 the table out, so any Monoid in circulation is a genuine monoid.
 
-Two families from the cover-theory scenarios are built here, monoids by
-construction, unchecked (the tests rebuild each through the checks):
+Three builds here skip those checks, monoids by construction (the
+tests rebuild each through the checks): the tables of
+``enumerate_monoids``, whose per-cell scan has already proved
+associativity, and two families from the cover-theory scenarios:
 
 * ``right_zero_adjoin_one(n)``: a right-zero semigroup {z1..zn} with an
   identity adjoined (x * zj = zj for every x).
@@ -23,7 +25,6 @@ construction, unchecked (the tests rebuild each through the checks):
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -258,14 +259,13 @@ def is_cancellative(m: Monoid, side: str):
 
 
 def is_group(m: Monoid) -> bool:
-    """True when every element has a two-sided inverse."""
-    n = m.order
-    for a in range(n):
-        if not any(
-            m.table[a][b] == 0 and m.table[b][a] == 0 for b in range(n)
-        ):
-            return False
-    return True
+    """True when every element has a two-sided inverse, that is, when
+    every row of the table holds the identity.
+
+    A right inverse is two-sided in a finite monoid: ab = 1 makes
+    x -> bx injective, so onto, so bc = 1 for some c and a = abc = c.
+    """
+    return all(0 in row for row in m.table)
 
 
 def enumerate_monoids(order: int) -> Iterator[Monoid]:
@@ -274,8 +274,8 @@ def enumerate_monoids(order: int) -> Iterator[Monoid]:
     The identity row and column are forced, the remaining (order-1)^2
     cells are filled depth-first in row-major order, so tables come out
     in lexicographic order.  Filling a cell checks associativity only on
-    the triples that read it; Monoid validates each finished table.
-    No isomorphism reduction is applied.
+    the triples that read it, so each finished table is associative and
+    is emitted unchecked.  No isomorphism reduction is applied.
     """
     if order < 1:
         raise EmptySemigroupError("order must be positive")
@@ -284,40 +284,48 @@ def enumerate_monoids(order: int) -> Iterator[Monoid]:
     labels = ("1",) + tuple(f"e{i}" for i in range(1, order))
     n = order
     cells = [(i, j) for i in range(1, n) for j in range(1, n)]
-    table: list[list[Optional[int]]] = [
-        [j if i == 0 else (i if j == 0 else None) for j in range(n)]
-        for i in range(n)
-    ]
+    # An unfilled cell holds n, and row n and column n hold only n: a
+    # product that reads an unfilled cell is n, so "x < n" says it is
+    # known.  The finished table is rows and columns 0..n-1.
+    table = [[j if i == 0 else (i if j == 0 else n) for j in range(n)] + [n]
+             for i in range(n)] + [[n] * (n + 1)]
+    # A triple with the identity in it holds by the forced row and column.
+    r = range(1, n)
 
-    def consistent(i: int, j: int) -> bool:
-        # Only the triples (a, b, c) that read the new cell (i, j) as a*b,
-        # b*c, (a*b)*c or a*(b*c): any other triple whose four lookups are
-        # known was checked when the last of its cells was filled.
-        r = range(n)
-        triples = itertools.chain(
-            ((i, j, c) for c in r),
-            ((a, i, j) for a in r),
-            ((a, b, j) for a in r for b in r if table[a][b] == i),
-            ((i, b, c) for b in r for c in r if table[b][c] == j),
-        )
-        for a, b, c in triples:
-            ab, bc = table[a][b], table[b][c]
-            if ab is None or bc is None:
-                continue
-            left, right = table[ab][c], table[a][bc]
-            if left is not None and right is not None and left != right:
+    def consistent(i: int, j: int, v: int) -> bool:
+        # Only the triples (a, b, c) that read the new cell i*j = v as a*b,
+        # b*c, (a*b)*c or a*(b*c): any other triple whose four products
+        # are known was checked when the last of its cells was filled.
+        ti, tj, tv = table[i], table[j], table[v]
+        for c in r:  # (i, j, c): v*c against i*(j*c)
+            if n > tv[c] != ti[tj[c]] < n:
                 return False
+        for a in r:  # (a, i, j): (a*i)*j against a*v
+            ta = table[a]
+            if n > table[ta[i]][j] != ta[v] < n:
+                return False
+        for a in r:  # (a, b, j) with a*b = i: a*(b*j) against v
+            ta = table[a]
+            for b in r:
+                if ta[b] == i and n > ta[table[b][j]] != v:
+                    return False
+        for b in r:  # (i, b, c) with b*c = j: (i*b)*c against v
+            tb, tib = table[b], table[ti[b]]
+            for c in r:
+                if tb[c] == j and n > tib[c] != v:
+                    return False
         return True
 
     def fill(pos: int) -> Iterator[Monoid]:
         if pos == len(cells):
-            yield build_from_table(labels, [tuple(row) for row in table])
+            yield _trusted_monoid(labels, [row[:n] for row in table[:n]])
             return
         i, j = cells[pos]
+        row = table[i]
         for v in range(n):
-            table[i][j] = v
-            if consistent(i, j):
+            row[j] = v
+            if consistent(i, j, v):
                 yield from fill(pos + 1)
-        table[i][j] = None
+        row[j] = n
 
     yield from fill(0)

@@ -73,14 +73,29 @@ MUTANTS = (
         "        return u\n",
         ("tests/test_acts.py::TestCyclicIsoWitness",)),
     Mutant(
+        "enumerate-without-ijc-role", "monoid.py",
+        "        for c in r:  # (i, j, c)",
+        "        for c in ():  # (i, j, c)",
+        ("tests/test_monoid.py::TestEnumeration",)),
+    Mutant(
+        "enumerate-without-aij-role", "monoid.py",
+        "        for a in r:  # (a, i, j)",
+        "        for a in ():  # (a, i, j)",
+        ("tests/test_monoid.py::TestEnumeration",)),
+    Mutant(
         "enumerate-without-ab-role", "monoid.py",
-        "            ((a, b, j) for a in r for b in r if table[a][b] == i),\n",
-        "",
+        "        for a in r:  # (a, b, j)",
+        "        for a in ():  # (a, b, j)",
         ("tests/test_monoid.py::TestEnumeration",)),
     Mutant(
         "enumerate-without-bc-role", "monoid.py",
-        "            ((i, b, c) for b in r for c in r if table[b][c] == j),\n",
-        "",
+        "        for b in r:  # (i, b, c)",
+        "        for b in ():  # (i, b, c)",
+        ("tests/test_monoid.py::TestEnumeration",)),
+    Mutant(
+        "enumerate-roles-skip-first-element", "monoid.py",
+        "    r = range(1, n)\n",
+        "    r = range(2, n)\n",
         ("tests/test_monoid.py::TestEnumeration",)),
     Mutant(
         "unique-first-with-itself", "covers.py",
@@ -149,6 +164,23 @@ MUTANTS = (
         "if self.table[0][i] != i or self.table[i][0] != i:",
         "if self.table[0][i] != i:",
         ("tests/test_monoid.py::TestValidation",)),
+    Mutant(
+        "lemma-group-not-checked-cancellative", "scenarios.py",
+        "            if group and not (is_cancellative(m, \"left\")[0] and right):\n"
+        "                group_bad = [list(row) for row in m.table]\n"
+        "                break\n",
+        "",
+        ("tests/test_scenarios.py::TestLemma",)),
+    Mutant(
+        "qiao-wei-kernel-proper-unchecked", "scenarios.py",
+        "not k_bad and proper,",
+        "not k_bad,",
+        ("tests/test_scenarios.py::TestQiaoWei::test_kernel_pullback_must_be_proper",)),
+    Mutant(
+        "kruml-prepend-past-equal-letter", "kruml.py",
+        "while pos < len(w) and m > w[pos]:",
+        "while pos < len(w) and m >= w[pos]:",
+        ("tests/test_kruml.py::TestConfluence::test_every_reduction_path_ends_at_the_normal_form",)),
     Mutant(
         "rightzero-not-associative", "monoid.py",
         "            table[i][j] = j\n",

@@ -126,6 +126,16 @@ class TestMultiplication:
             )
             assert left_cancel_test(w, u, v)
 
+    def test_left_multiplication_by_a_letter_is_injective(self):
+        # on every normal word of length <= 6 over a_0..a_7.  The normal
+        # form of w*u has |w| + |u| letters, none above the largest of w
+        # and u, so by induction on w this gives w*u = w*v => u = v
+        # whenever |w| + |u| <= 7 and no letter exceeds 7
+        words = list(normal_words(6, 7))
+        assert len(words) == 3003
+        for m in range(8):
+            assert len({kmul((m,), u) for u in words}) == 3003, m
+
     def test_not_right_cancellative(self):
         assert kmul((0,), (0,)) == kmul((1,), (0,)) == (0, 0)
         assert knormalize((0,)) != knormalize((1,))
@@ -158,6 +168,22 @@ class TestConfluence:
             assert knormalize(overlap) == knormalize(left) == knormalize(right) == joined
             pairs += 1
         assert pairs == 56
+
+    def test_every_reduction_path_ends_at_the_normal_form(self):
+        # every word of length <= 6 over a_0..a_5; ends[w] is the set of
+        # normal words that some sequence of rewrites takes w to
+        ends = {}
+
+        def reach(w):
+            if w not in ends:
+                redexes = [p for p in range(len(w) - 1) if w[p] > w[p + 1]]
+                ends[w] = (frozenset().union(*(reach(rewrite_at(w, p)) for p in redexes))
+                           if redexes else frozenset({w}))
+            return ends[w]
+
+        words = [w for n in range(7) for w in itertools.product(range(6), repeat=n)]
+        assert len(words) == 55987
+        assert [w for w in words if reach(w) != {knormalize(w)}] == []
 
 
 def code_of(word, shift):

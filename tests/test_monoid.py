@@ -265,6 +265,22 @@ class TestCancellativityAndGroups:
         with pytest.raises(ValueError):
             is_cancellative(Z3, "up")
 
+    def test_group_is_the_two_sided_definition(self):
+        # is_group reads one row per element; the definition asks for a
+        # b with a*b = b*a = 1
+        def two_sided(m):
+            r = range(m.order)
+            return all(any(m.mul(a, b) == m.mul(b, a) == 0 for b in r) for a in r)
+
+        monoids = [m for n in range(1, 5) for m in enumerate_monoids(n)]
+        monoids += [right_zero_adjoin_one(n) for n in range(1, 5)]
+        monoids += [qiao_wei_truncated(n, cap) for n in range(1, 5) for cap in range(1, 7)]
+        verdicts = [is_group(m) for m in monoids]
+        assert verdicts == [two_sided(m) for m in monoids]
+        # the labelled groups with identity 0: the trivial group, Z2, Z3,
+        # three tables of Z4 and one of the Klein group
+        assert verdicts.count(True) == 1 + 1 + 1 + 3 + 1
+
 
 class TestEnumeration:
     # frozen counts, confirmed by the raw enumeration in brute_monoids
@@ -302,11 +318,21 @@ class TestEnumeration:
         first = next(enumerate_monoids(5))
         assert first.elements == ("1", "e1", "e2", "e3", "e4")
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_table_rebuilds_through_the_checks(self, n):
+        # the enumerator emits its tables unchecked; each must pass the
+        # validating constructor and come back equal
+        for m in enumerate_monoids(n):
+            assert build_from_table(m.elements, m.table) == m
+
     def test_order_five_with_the_bound_lifted(self, monkeypatch):
         # count and both ends pinned from the enumeration that rescanned
-        # every triple after each cell; the per-cell check must agree
+        # every triple after each cell; the per-cell check must agree,
+        # and every table must pass the validating constructor
         monkeypatch.setattr(monoid_module, "ENUMERATION_BOUND", 5)
-        tables = [m.table for m in enumerate_monoids(5)]
+        monoids = list(enumerate_monoids(5))
+        assert all(build_from_table(m.elements, m.table) == m for m in monoids)
+        tables = [m.table for m in monoids]
         assert len(tables) == 4122
         assert tables[0] == ((0, 1, 2, 3, 4), (1, 0, 2, 3, 4), (2, 2, 2, 2, 2),
                              (3, 3, 2, 2, 2), (4, 4, 2, 2, 2))

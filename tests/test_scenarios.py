@@ -17,6 +17,7 @@ from actcovers import (
     kmul,
     knormalize,
     normal_words,
+    qiao_wei_truncated,
     quotient_act,
     right_zero_adjoin_one,
 )
@@ -135,6 +136,22 @@ class TestQiaoWei:
         rep = run_qiao_wei(3)
         (iso,) = [a for a in rep.assertions if "translation witnesses" in a.desc]
         assert ("sigma_1", "sigma_2", "x1^1") in iso.witness
+
+    def test_kernel_pullback_must_be_proper(self, monkeypatch):
+        # a library that takes x_0 for the zero x_0^cap, in the kernel and
+        # in the pullbacks alike, gets two equal relations, both full: only
+        # the clause that the kernel is finer than sigma_0 catches it
+        m = qiao_wei_truncated(3, 4)
+        x0, zero = m.index("x0^1"), m.index("x0^4")
+        kernel, pullback = scenarios.left_kernel, scenarios.pullback_relation
+        monkeypatch.setattr(scenarios, "left_kernel",
+                            lambda m, u: kernel(m, zero if u == x0 else u))
+        monkeypatch.setattr(scenarios, "pullback_relation",
+                            lambda m, tau, u: pullback(m, tau, zero if u == x0 else u))
+        rep = run_qiao_wei(3)
+        (kern,) = [a for a in rep.assertions if "kernel" in a.desc]
+        assert (kern.ok, kern.witness) == (False, [list(m.elements)])
+        assert all(a.ok for a in rep.assertions if a is not kern)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -354,6 +371,21 @@ class TestLemma:
             "order 3: every right-cancellative monoid is a group "
             "(11 examined, 1 right-cancellative)",
         ]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_group_that_does_not_cancel_is_reported(self, monkeypatch, side):
+        # a library whose cancellation test fails Z3 on one side: the
+        # order-3 assertion fails with Z3's table
+        z3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        cancels = scenarios.is_cancellative
+
+        def broken(m, s):
+            return (False, (1, 1, 2)) if (m.table, s) == (z3, side) else cancels(m, s)
+
+        monkeypatch.setattr(scenarios, "is_cancellative", broken)
+        rep = run_lemma(3)
+        assert [a.ok for a in rep.assertions] == [True, True, False]
+        assert rep.assertions[2].witness == [list(row) for row in z3]
 
     def test_order_bound(self):
         with pytest.raises(OrderTooLargeError):
