@@ -114,7 +114,10 @@ def system_from_doc(doc: dict, base: Union[Path, None] = None) -> DirectedSystem
     for key, image in doc["arrows"].items():
         if not isinstance(image, list):
             raise ValueError(f"arrow {_quote(key)} image must be a list")
-        i, j = (part.strip() for part in str(key).split(","))
+        parts = [part.strip() for part in str(key).split(",")]
+        if len(parts) != 2:
+            raise ValueError(f"arrow key {_quote(key)} must be two node names joined by a comma")
+        i, j = parts
         arrows[(i, j)] = ActMap(acts[i], acts[j], tuple(image))
     order = []
     for p in _expect(doc.get("order", []), list, "system 'order'"):

@@ -211,16 +211,19 @@ class FinXSystem:
         large = self._check_subset(large)
         if not set(small) <= set(large):
             raise NotSubsetError("first subset must be contained in the second")
-        return self._push(small, large, knormalize(word))
+        return self._push(small, large, [knormalize(word)])[0]
 
-    def _push(self, small: tuple, large: tuple, w: KWord) -> KWord:
-        """The transition, on checked ground-ordered subsets and a normal
-        word."""
-        w = list(w)
-        for i, z in enumerate(large):
-            if z not in small:
+    def _push(self, small: tuple, large: tuple, words: list) -> list:
+        """The transition of each of a list of normal words, on checked
+        ground-ordered subsets: the insertion positions are found once."""
+        ins = [i for i, z in enumerate(large) if z not in small]
+        out = []
+        for w in words:
+            w = list(w)
+            for i in ins:
                 _prepend(i, w)
-        return tuple(w)
+            out.append(tuple(w))
+        return out
 
     def colimit_equal(self, e1: ColimitElement, e2: ColimitElement) -> bool:
         """Equality in the colimit, decided at the union of the subsets.
@@ -232,6 +235,6 @@ class FinXSystem:
         """
         s1, s2 = self._check_subset(e1.subset), self._check_subset(e2.subset)
         union = tuple(z for z in self.ground if z in s1 or z in s2)
-        w1 = self._push(s1, union, knormalize(e1.word))
-        w2 = self._push(s2, union, knormalize(e2.word))
+        w1 = self._push(s1, union, [knormalize(e1.word)])
+        w2 = self._push(s2, union, [knormalize(e2.word)])
         return w1 == w2

@@ -186,6 +186,83 @@ MUTANTS = (
         "            table[i][j] = j\n",
         "            table[i][j] = j % n + 1\n",
         ("tests/test_monoid.py::TestTrustedFamilies",)),
+    Mutant(
+        "kruml-lattice-edges-unchecked", "scenarios.py",
+        "if fs._push(p, t, reached[k]) != want:",
+        "if False:",
+        ("tests/test_scenarios.py::TestKrumlWitnessOrder::test_path_independence",)),
+    Mutant(
+        "kruml-lattice-canonical-unchecked", "scenarios.py",
+        "want = fs._push(small, t, words)",
+        "want = fs._push(edges[0][1], t, reached[edges[0][0]]) if edges else words",
+        ("tests/test_scenarios.py::TestKrumlWitnessOrder::test_canonical_push",)),
+    Mutant(
+        "kruml-injectivity-group-one-repeat-passes", "scenarios.py",
+        "min(map(len, map(set, zip(*rows))), default=9) < 9",
+        "min(map(len, map(set, zip(*rows))), default=9) < 8",
+        ("tests/test_scenarios.py::TestKrumlWitnessOrder::test_injectivity",)),
+    Mutant(
+        "kruml-equalizer-group-all-equal", "scenarios.py",
+        "if any(map(operator.eq, r0, r1)):",
+        "if all(map(operator.eq, r0, r1)):",
+        ("tests/test_scenarios.py::TestKrumlWitnessOrder::test_equalizer",)),
+    Mutant(
+        "kruml-sampler-keeps-bound", "scenarios.py",
+        "while x >= 9:",
+        "while x > 9:",
+        ("tests/test_scenarios.py::TestKruml::test_sampled_words_are_the_randint_stream",)),
+    Mutant(
+        "condition-e-never-fails", "flatness.py",
+        "bad = where[row[s]] & ~covered",
+        "bad = 0",
+        ("tests/test_flatness.py",)),
+    Mutant(
+        "condition-p-last-hit-only", "flatness.py",
+        "covered |= ry[k][w]",
+        "covered = ry[k][w]",
+        ("tests/test_flatness.py",)),
+    Mutant(
+        "coessential-largest-refuting-choice", "covers.py",
+        "subact_closure(src, min(refuting))",
+        "subact_closure(src, max(refuting))",
+        ("tests/test_covers.py::TestAgainstProductScan",)),
+    Mutant(
+        "cover-ignores-endomorphisms", "covers.py",
+        "if g.after(f) == g and not f.is_bijective:",
+        "if False:",
+        ("tests/test_covers.py::TestPrecoverAndCover",)),
+    Mutant(
+        "precover-accepts-any-candidate", "covers.py",
+        "if not any(g.after(f) == gp for f in candidates):",
+        "if not candidates:",
+        ("tests/test_covers.py::TestPrecoverAndCover",)),
+    Mutant(
+        "system-transitivity-unchecked", "colimit.py",
+        "if system.leq(j, k) and not system.leq(i, k):",
+        "if False:",
+        ("tests/test_colimit.py::TestValidation",)),
+    Mutant(
+        "system-coherence-unchecked", "colimit.py",
+        "if left != system.arrow(i, k):",
+        "if False:",
+        ("tests/test_colimit.py",)),
+    Mutant(
+        "jsonio-identity-index-unchecked", "jsonio.py",
+        'if doc.get("identity", 0) != 0:',
+        "if False:",
+        ("tests/test_jsonio.py::TestMonoidDocs",)),
+    Mutant(
+        "jsonio-order-without-arrow-pairs", "jsonio.py",
+        "    order += [pair for pair in arrows if pair not in order]\n",
+        "",
+        ("tests/test_jsonio.py::TestSystemDocs",)),
+    Mutant(
+        "colimit-equal-without-push", "kruml.py",
+        "        w1 = self._push(s1, union, [knormalize(e1.word)])\n"
+        "        w2 = self._push(s2, union, [knormalize(e2.word)])\n",
+        "        w1 = [knormalize(e1.word)]\n"
+        "        w2 = [knormalize(e2.word)]\n",
+        ("tests/test_kruml.py::TestFinXSystem",)),
 )
 
 

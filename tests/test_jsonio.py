@@ -118,6 +118,13 @@ class TestSystemDocs:
         with pytest.raises(ValueError):
             system_from_doc(doc)
 
+    @pytest.mark.parametrize("key", ["ab", "a,b,c"])
+    def test_arrow_key_must_name_two_nodes(self, key):
+        doc = system_to_doc(self._system())
+        doc["arrows"][key] = doc["arrows"].pop("0,1")
+        with pytest.raises(ValueError, match=f"arrow key '{key}' must be two node names"):
+            system_from_doc(doc)
+
     def test_incoherent_system_rejected_on_load(self):
         lam_z1 = ActMap(S, S, (1, 1, 2))
         lam_z2 = ActMap(S, S, (2, 1, 2))

@@ -347,6 +347,20 @@ class TestFinXSystem:
                         cur.add(lab)
                 assert fs.transition(small, large, w) == want
 
+    def test_list_push_equals_one_word_pushes(self):
+        # every ordered pair small <= large of subsets of the ground and
+        # every word of normal_words(4, 4): one push of the whole list
+        # gives each word's own push and its public transition
+        fs = self.FS
+        subsets = [c for r in range(5) for c in itertools.combinations(fs.ground, r)]
+        pairs = [(s, t) for t in subsets for s in subsets if set(s) <= set(t)]
+        words = list(normal_words(4, 4))
+        assert (len(pairs), len(words)) == (81, 126)
+        for small, large in pairs:
+            pushed = fs._push(small, large, words)
+            assert pushed == [fs._push(small, large, [w])[0] for w in words]
+            assert pushed == [fs.transition(small, large, w) for w in words]
+
     def test_beta_identities(self):
         # prepending a1 in the copy at {x,y} is the same colimit element
         # as the original word in the copy at {x}; prepending a0 matches

@@ -258,11 +258,11 @@ class TestKrumlWitnessOrder:
         # word, or only for bad_word
         push = FinXSystem._push
 
-        def broken(self, small, large, w):
-            out = push(self, small, large, w)
-            if (small == cur and set(large) == set(cur) | {z}
-                    and bad_word in (None, w)):
-                return out + (0,)
+        def broken(self, small, large, words):
+            out = push(self, small, large, words)
+            if small == cur and set(large) == set(cur) | {z}:
+                return [o + (0,) if bad_word in (None, w) else o
+                        for o, w in zip(out, words)]
             return out
 
         monkeypatch.setattr(FinXSystem, "_push", broken)
@@ -281,10 +281,11 @@ class TestKrumlWitnessOrder:
         # catch it by comparing the reached word with the canonical one
         push = FinXSystem._push
 
-        def broken(self, s, t, w):
-            out = push(self, s, t, w)
-            if (s, t) == (small, large) and bad_word in (None, w):
-                return out + (0,)
+        def broken(self, s, t, words):
+            out = push(self, s, t, words)
+            if (s, t) == (small, large):
+                return [o + (0,) if bad_word in (None, w) else o
+                        for o, w in zip(out, words)]
             return out
 
         monkeypatch.setattr(FinXSystem, "_push", broken)
@@ -325,13 +326,18 @@ class TestKrumlWitnessOrder:
         assert want is not None
         assert _kruml_witness("appending distinct letters") == (False, want)
 
-    @pytest.mark.parametrize("length,tail", [(5, (3,)), (8, (8,)), (0, ()), (1, (0,))])
-    def test_equalizer(self, monkeypatch, length, tail):
-        # a_1 appended to the words of this length and last letter gives
-        # the product with a_0
+    @pytest.mark.parametrize("length,head,tail", [
+        (5, None, (3,)), (8, None, (8,)), (0, None, ()), (1, None, (0,)),
+        (5, (2,), (3,)), (7, (0,), None),
+    ])
+    def test_equalizer(self, monkeypatch, length, head, tail):
+        # a_1 appended to the words of this length, first letter and last
+        # letter (None: any) gives the product with a_0; a first letter
+        # picks only some words of each group that _coded_rows yields
         def perturb(mul):
             def product(w, v):
-                if v == (1,) and len(w) == length and w[-1:] == tail:
+                if (v == (1,) and len(w) == length and head in (None, w[:1])
+                        and tail in (None, w[-1:])):
                     v = (0,)
                 return mul(w, v)
             return product
@@ -343,20 +349,22 @@ class TestKrumlWitnessOrder:
 
 class TestKrumlInsertionTree:
     def test_one_push_per_edge(self, monkeypatch):
-        # 81 pairs x 126 words canonical pushes, 126 words x 108 edges of
-        # the subset lattices above each small subset, and 508 from the
-        # cocone and injection assertions; the permutation scan for the
-        # least witness runs only when a push fails
+        # one push of all 126 words for each of the 81 canonical pairs and
+        # each of the 108 edges of the subset lattices above each small
+        # subset, and 508 one-word pushes from the cocone and injection
+        # assertions; the permutation scan for the least witness runs
+        # only when a push fails
         calls = []
         push = FinXSystem._push
 
-        def counted(self, small, large, w):
-            calls.append(None)
-            return push(self, small, large, w)
+        def counted(self, small, large, words):
+            calls.append(len(words))
+            return push(self, small, large, words)
 
         monkeypatch.setattr(FinXSystem, "_push", counted)
         assert run_kruml(0, KRUML_SAMPLE_FLOOR).passed
-        assert len(calls) == 81 * 126 + 126 * 108 + 508 == 24322
+        assert sum(calls) == 81 * 126 + 126 * 108 + 508 == 24322
+        assert len(calls) == 81 + 108 + 508 == 697
 
 
 class TestLemma:
