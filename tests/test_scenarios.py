@@ -326,12 +326,12 @@ class TestKrumlWitnessOrder:
         assert want is not None
         assert _kruml_witness("appending distinct letters") == (False, want)
 
-    @pytest.mark.parametrize("length,head,tail", [
-        (5, None, (3,)), (8, None, (8,)), (0, None, ()), (1, None, (0,)),
-        (5, (2,), (3,)), (7, (0,), None),
-    ])
-    def test_equalizer(self, monkeypatch, length, head, tail):
-        # a_1 appended to the words of this length, first letter and last
+    @pytest.mark.parametrize("length,tail,head", [
+        (5, (3,), None), (8, (8,), None), (0, (), None), (1, (0,), None),
+        (5, (3,), (2,)), (7, None, (0,)),
+    ], ids=["5-tail0", "8-tail1", "0-tail2", "1-tail3", "5-tail3-head2", "7-head0"])
+    def test_equalizer(self, monkeypatch, length, tail, head):
+        # a_1 appended to the words of this length, last letter and first
         # letter (None: any) gives the product with a_0; a first letter
         # picks only some words of each group that _coded_rows yields
         def perturb(mul):
