@@ -118,6 +118,8 @@ def system_from_doc(doc: dict, base: Union[Path, None] = None) -> DirectedSystem
         if len(parts) != 2:
             raise ValueError(f"arrow key {_quote(key)} must be two node names joined by a comma")
         i, j = parts
+        if (i, j) in arrows:
+            raise ValueError(f"arrow key {_quote(key)} names an arrow already given")
         arrows[(i, j)] = ActMap(acts[i], acts[j], tuple(image))
     order = []
     for p in _expect(doc.get("order", []), list, "system 'order'"):

@@ -22,6 +22,12 @@ larger letters each minus one.  Multiplication is concatenate then
 normalize.  Left multiplication is injective (cancellable); right
 multiplication is not, e.g. a0*a0 = a1*a0 and a2*a1 = a1*a1.
 
+The monoid is that of the order-preserving injections N -> N with finite
+complement, a_i the coface map that skips i (Mac Lane, VII.5): the
+normal word l_0 <= ... <= l_(k-1) misses the set {l_p + p}, kept as a
+bit mask, and a_m*M inserts bit m, shifting the bits >= m up by one.
+Left cancellation holds because each such map is injective.
+
 FinXSystem models the directed system indexed by finite subsets Y of
 an ordered label set X: each object is a copy of the monoid, and the
 arrow for Y into Y + {z} is left multiplication by a_i where i counts
@@ -63,6 +69,25 @@ def knormalize(word: Sequence[int]) -> KWord:
     return tuple(w)
 
 
+def _mask(word: Sequence[int], mask: int = 0) -> int:
+    """The missing set of word*x as a bit mask, for x with missing set mask:
+    each letter a_m, right to left, inserts bit m, adding the mask's bits
+    >= m to it (which moves them up by one) and then bit m."""
+    for m in reversed(word):
+        if type(m) is not int:
+            raise ValueError(f"generator index {_quote(m)} is not an int")
+        if m < 0:
+            raise ValueError("generator indices must be nonnegative")
+        mask = (mask >> m << m) + mask + (1 << m)
+    return mask
+
+
+def _word(mask: int) -> KWord:
+    """The normal word missing the set mask: letter v once for each set
+    bit between the v-th and the (v+1)-th clear bit."""
+    return tuple(v for v, run in enumerate(bin(mask)[:1:-1].split("0")) for _ in run)
+
+
 def knormalize_random(word: Sequence[int], rng: random.Random) -> KWord:
     """Normal form via a random redex at each step.
 
@@ -88,9 +113,9 @@ def kmul(u: Sequence[int], v: Sequence[int]) -> KWord:
 
 def left_cancel_test(w: Sequence[int], u: Sequence[int], v: Sequence[int]) -> bool:
     """The implication  w*u = w*v  =>  u = v  for these words."""
-    if kmul(w, u) != kmul(w, v):
+    if _mask(w, _mask(u)) != _mask(w, _mask(v)):
         return True
-    return knormalize(u) == knormalize(v)
+    return _mask(u) == _mask(v)
 
 
 def right_cancellation_counterexamples(max_index: int) -> list[tuple[int, int, int]]:
@@ -108,35 +133,35 @@ def right_cancellation_counterexamples(max_index: int) -> list[tuple[int, int, i
     return out
 
 
-def _products(codes: list, i: int, shift: int) -> list:
-    """The code of w*a_i for each code of a normal word w, B = 1 << shift:
-    the letters <= i stay, one more i comes, each larger one drops by one."""
-    low = 1 << i * shift  # B**i
-    high = low << shift  # B**(i+1)
-    return [c % high + low + c // high * low for c in codes]
-
-
 def _coded_rows(max_len: int, max_index: int, letters: int):
     """(shift, groups) for the words of normal_words(max_len, max_index),
     each coded by its letter counts as the sum of B**letter, B = 1 << shift.
     groups yields (codes, rows) level by level, each level by last letter
     and then by the parent words' last letter; rows[i][k] is the code of
-    codes[k]*a_i for i < letters.  The walk keeps the level it extends and
-    the one it builds, not the last, so memory stays a few groups deep."""
+    codes[k]*a_i for i < letters.  w*a_i is w's letters <= i, then i, then
+    w's larger letters each minus one, so a child's rows are its parent's
+    plus one term: (c + B**y)*a_i = c*a_i + B**y when i >= y, and
+    c*a_i + B**(y-1) when i < y.  Counts stay below B, so nothing carries.
+    The walk keeps the level it extends and the one it builds, not the last."""
     shift = (max_len + 1).bit_length()  # a count never exceeds max_len + 1
 
     def groups():
-        level = [[0]] + [[] for _ in range(max_index)]  # the empty word, under a_0
-        yield level[0], [_products(level[0], i, shift) for i in range(letters)]
+        root = [0], [[1 << i * shift] for i in range(letters)]  # the empty word
+        yield root
+        level = [root] + [([], [[] for _ in range(letters)]) for _ in range(max_index)]
         for length in range(1, max_len + 1):
-            nxt = [[] for _ in level]
+            nxt = [([], [[] for _ in range(letters)]) for _ in level]
             for y in range(max_index + 1):
                 one = 1 << y * shift
-                for x in range(y + 1):  # a_y may follow the words ending in a_x <= a_y
-                    codes = [c + one for c in level[x]]
-                    yield codes, [_products(codes, i, shift) for i in range(letters)]
+                offsets = [one if i >= y else one >> shift for i in range(letters)]
+                for codes, rows in level[:y + 1]:  # a_y may follow the words ending in a_x <= a_y
+                    codes = [c + one for c in codes]
+                    rows = [[r + d for r in row] for row, d in zip(rows, offsets)]
+                    yield codes, rows
                     if length < max_len:
-                        nxt[y] += codes
+                        nxt[y][0].extend(codes)
+                        for part, row in zip(nxt[y][1], rows):
+                            part.extend(row)
             level = nxt
 
     return shift, groups()
@@ -211,19 +236,16 @@ class FinXSystem:
         large = self._check_subset(large)
         if not set(small) <= set(large):
             raise NotSubsetError("first subset must be contained in the second")
-        return self._push(small, large, [knormalize(word)])[0]
+        return _word(self._push(small, large, [_mask(word)])[0])
 
-    def _push(self, small: tuple, large: tuple, words: list) -> list:
-        """The transition of each of a list of normal words, on checked
-        ground-ordered subsets: the insertion positions are found once."""
-        ins = [i for i, z in enumerate(large) if z not in small]
-        out = []
-        for w in words:
-            w = list(w)
-            for i in ins:
-                _prepend(i, w)
-            out.append(tuple(w))
-        return out
+    def _push(self, small: tuple, large: tuple, masks: list) -> list:
+        """The transition of each of a list of missing-set masks, on checked
+        ground-ordered subsets: each inserted position i, in ascending
+        order, inserts bit i into every mask, as in _mask."""
+        for i in [i for i, z in enumerate(large) if z not in small]:
+            bit = 1 << i
+            masks = [(mk >> i << i) + mk + bit for mk in masks]
+        return masks
 
     def colimit_equal(self, e1: ColimitElement, e2: ColimitElement) -> bool:
         """Equality in the colimit, decided at the union of the subsets.
@@ -235,6 +257,6 @@ class FinXSystem:
         """
         s1, s2 = self._check_subset(e1.subset), self._check_subset(e2.subset)
         union = tuple(z for z in self.ground if z in s1 or z in s2)
-        w1 = self._push(s1, union, [knormalize(e1.word)])
-        w2 = self._push(s2, union, [knormalize(e2.word)])
-        return w1 == w2
+        m1 = self._push(s1, union, [_mask(e1.word)])
+        m2 = self._push(s2, union, [_mask(e2.word)])
+        return m1 == m2

@@ -37,6 +37,7 @@ from .kruml import (
     FinXSystem,
     _coded_rows,
     _decode,
+    _mask,
     is_normal,
     knormalize,
     knormalize_random,
@@ -393,15 +394,16 @@ def _random_word(rng: random.Random) -> tuple:
     return tuple(w)
 
 
-def _lattice_commutes(fs: FinXSystem, subsets: list, words: list) -> bool:
+def _lattice_commutes(fs: FinXSystem, subsets: list, masks: list) -> bool:
     """Whether every insertion order from every small subset to every
-    larger one pushes every word to the canonical transition.
+    larger one pushes every word, given by its mask, to the canonical
+    transition.
 
     Pushing the words from small along each edge of the subset lattice
     above it once suffices: all paths from small to T agree with the
     canonical push into T exactly when, for every T, each edge into T
     carries the canonical words at its source to the canonical words at
-    T.  Each push takes all the words at once."""
+    T.  Each push takes all the masks at once."""
     for small in subsets:
         above = [t for t in subsets if set(small) <= set(t)]
         at = {t: k for k, t in enumerate(above)}
@@ -411,7 +413,7 @@ def _lattice_commutes(fs: FinXSystem, subsets: list, words: list) -> bool:
                 for t in above]
         reached = []
         for t, edges in zip(above, into):
-            want = fs._push(small, t, words)
+            want = fs._push(small, t, masks)
             for k, p in edges:
                 if fs._push(p, t, reached[k]) != want:
                     return False
@@ -426,10 +428,10 @@ def _least_path_witness(fs: FinXSystem, subsets: list, words: list):
     for large in subsets:
         for small in [s for s in subsets if set(s) <= set(large)]:
             missing = tuple(z for z in large if z not in small)
-            for w in words:
-                canonical = fs._push(small, large, [w])[0]
+            for w, mk in zip(words, map(_mask, words)):
+                canonical = fs._push(small, large, [mk])[0]
                 for order in permutations(missing):
-                    cur, pushed = small, w
+                    cur, pushed = small, mk
                     for z in order:
                         nxt = tuple(sorted(cur + (z,), key=fs._rank.get))
                         pushed = fs._push(cur, nxt, [pushed])[0]
@@ -511,7 +513,7 @@ def run_kruml(seed: int, samples: int = 1000) -> ScenarioReport:
     for r in range(5):
         subsets += [tuple(c) for c in combinations(fs.ground, r)]
     words4 = list(normal_words(4, 4))
-    path_ok = _lattice_commutes(fs, subsets, words4)
+    path_ok = _lattice_commutes(fs, subsets, [_mask(w) for w in words4])
     path_bad = None if path_ok else _least_path_witness(fs, subsets, words4)
     out.append(Assertion(
         "subset transitions are path independent: any insertion order "

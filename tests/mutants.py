@@ -141,19 +141,39 @@ MUTANTS = (
         ("tests/test_monoid.py::TestQiaoWei::test_defining_products",)),
     Mutant(
         "kruml-product-without-new-letter", "kruml.py",
-        "return [c % high + low + c // high * low for c in codes]",
-        "return [c % high + c // high * low for c in codes]",
+        "root = [0], [[1 << i * shift] for i in range(letters)]",
+        "root = [0], [[0] for i in range(letters)]",
         ("tests/test_kruml.py::TestAppend",)),
     Mutant(
         "kruml-product-larger-letters-kept", "kruml.py",
-        "return [c % high + low + c // high * low for c in codes]",
-        "return [c % high + low + c // high * high for c in codes]",
+        "else one >> shift for i in range(letters)]",
+        "else one for i in range(letters)]",
+        ("tests/test_kruml.py::TestAppend",)),
+    Mutant(
+        "kruml-row-offset-drops-equal-letter", "kruml.py",
+        "offsets = [one if i >= y else",
+        "offsets = [one if i > y else",
         ("tests/test_kruml.py::TestAppend",)),
     Mutant(
         "kruml-walk-skips-equal-letter", "kruml.py",
-        "for x in range(y + 1):",
-        "for x in range(y):",
+        "for codes, rows in level[:y + 1]:",
+        "for codes, rows in level[:y]:",
         ("tests/test_kruml.py::TestAppend",)),
+    Mutant(
+        "kruml-mask-bits-not-moved", "kruml.py",
+        "mask = (mask >> m << m) + mask + (1 << m)",
+        "mask = mask | 1 << m",
+        ("tests/test_kruml.py::TestMasks::test_round_trip_on_all_short_words",)),
+    Mutant(
+        "kruml-word-drops-last-bit", "kruml.py",
+        'bin(mask)[:1:-1].split("0")',
+        'bin(mask)[:2:-1].split("0")',
+        ("tests/test_kruml.py::TestMasks::test_round_trip_on_all_short_words",)),
+    Mutant(
+        "kruml-push-drops-inserted-bit", "kruml.py",
+        "masks = [(mk >> i << i) + mk + bit for mk in masks]",
+        "masks = [(mk >> i << i) + mk for mk in masks]",
+        ("tests/test_kruml.py::TestFinXSystem::test_list_push_equals_one_word_pushes",)),
     Mutant(
         "universality-two-mediators-accepted", "colimit.py",
         "if len(matching) != 1:",
@@ -193,8 +213,8 @@ MUTANTS = (
         ("tests/test_scenarios.py::TestKrumlWitnessOrder::test_path_independence",)),
     Mutant(
         "kruml-lattice-canonical-unchecked", "scenarios.py",
-        "want = fs._push(small, t, words)",
-        "want = fs._push(edges[0][1], t, reached[edges[0][0]]) if edges else words",
+        "want = fs._push(small, t, masks)",
+        "want = fs._push(edges[0][1], t, reached[edges[0][0]]) if edges else masks",
         ("tests/test_scenarios.py::TestKrumlWitnessOrder::test_canonical_push",)),
     Mutant(
         "kruml-injectivity-group-one-repeat-passes", "scenarios.py",
@@ -257,11 +277,16 @@ MUTANTS = (
         "",
         ("tests/test_jsonio.py::TestSystemDocs",)),
     Mutant(
+        "jsonio-arrow-named-twice-accepted", "jsonio.py",
+        "if (i, j) in arrows:",
+        "if False:",
+        ("tests/test_jsonio.py::TestSystemDocs",)),
+    Mutant(
         "colimit-equal-without-push", "kruml.py",
-        "        w1 = self._push(s1, union, [knormalize(e1.word)])\n"
-        "        w2 = self._push(s2, union, [knormalize(e2.word)])\n",
-        "        w1 = [knormalize(e1.word)]\n"
-        "        w2 = [knormalize(e2.word)]\n",
+        "        m1 = self._push(s1, union, [_mask(e1.word)])\n"
+        "        m2 = self._push(s2, union, [_mask(e2.word)])\n",
+        "        m1 = [_mask(e1.word)]\n"
+        "        m2 = [_mask(e2.word)]\n",
         ("tests/test_kruml.py::TestFinXSystem",)),
 )
 

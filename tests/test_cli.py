@@ -325,12 +325,16 @@ class TestLongValuesQuotedShort:
          "arrow key 'ab' must be two node names joined by a comma"),
         ({"nodes": ["a", "b"], "acts": {"a": S_DOC, "b": S_DOC}, "arrows": {"a,b,c": [1, 1, 2]}},
          "arrow key 'a,b,c' must be two node names joined by a comma"),
+        ({"nodes": ["a", "b"], "acts": {"a": S_DOC, "b": S_DOC},
+          "arrows": {"a,b": [0, 1, 2], "a, b": [1, 1, 2]}},
+         "arrow key 'a, b' names an arrow already given"),
         ({"monoid": monoid_to_doc(RZ2), "action": [[0, 3, 0]]}, "action[0][1] = 3 out of range"),
         ({"table": [[0, 1], [1, 2]]}, "table entry [1][1] = 2 is out of range"),
         (dict(S_DOC, monoid="missing.json"),
          "cannot read monoid 'missing.json': No such file or directory"),
     ], ids=["no-act", "not-directed", "names-differing-in-the-middle", "incoherent",
-            "image", "arrow-key-one-name", "arrow-key-three-names", "action", "table",
+            "image", "arrow-key-one-name", "arrow-key-three-names", "arrow-key-repeated",
+            "action", "table",
             "missing-monoid"])
     def test_short_values_print_in_full(self, tmp_path, doc, message, capsys):
         p = tmp_path / "short.json"

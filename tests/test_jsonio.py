@@ -125,6 +125,17 @@ class TestSystemDocs:
         with pytest.raises(ValueError, match=f"arrow key '{key}' must be two node names"):
             system_from_doc(doc)
 
+    @pytest.mark.parametrize("key", ["0, 1", " 0,1", "0 ,1 "])
+    def test_arrow_named_twice_rejected(self, key):
+        # the names are stripped, so these keys name the arrow of "0,1";
+        # the second key is quoted, whichever image it carries
+        same = system_to_doc(self._system())["arrows"]["0,1"]
+        for image in (same, [0, 0, 0]):
+            doc = system_to_doc(self._system())
+            doc["arrows"][key] = image
+            with pytest.raises(ValueError, match=f"^arrow key '{key}' names an arrow already given$"):
+                system_from_doc(doc)
+
     def test_incoherent_system_rejected_on_load(self):
         lam_z1 = ActMap(S, S, (1, 1, 2))
         lam_z2 = ActMap(S, S, (2, 1, 2))

@@ -11,6 +11,7 @@ import re
 
 import pytest
 
+from actcovers import kruml
 from actcovers import (
     ColimitElement,
     FinXSystem,
@@ -23,7 +24,7 @@ from actcovers import (
     normal_words,
     right_cancellation_counterexamples,
 )
-from actcovers.kruml import _coded_rows, _decode
+from actcovers.kruml import _coded_rows, _decode, _mask, _prepend, _word
 
 
 def rightmost_normalize(word):
@@ -142,6 +143,84 @@ class TestMultiplication:
 
     def test_counterexample_enumeration(self):
         assert right_cancellation_counterexamples(2) == [(0, 1, 0), (1, 2, 1)]
+
+
+def missing_set(word):
+    # the normal word l_0 <= ... <= l_(k-1) names an injection of N whose
+    # image misses {l_p + p}; this is its bit mask, by that definition
+    return sum(1 << letter + p for p, letter in enumerate(word))
+
+
+def left_cancel_by_kmul(w, u, v):
+    # the form left_cancel_test had before it worked on masks
+    if kmul(w, u) != kmul(w, v):
+        return True
+    return knormalize(u) == knormalize(v)
+
+
+class TestMasks:
+    # _mask codes a word by the missing set of its normal form and _word
+    # decodes it; knormalize and missing_set are the oracles
+    def test_round_trip_on_all_short_words(self):
+        words = [w for n in range(7) for w in itertools.product(range(6), repeat=n)]
+        assert len(words) == 55987
+        assert [w for w in words if _word(_mask(w)) != knormalize(w)] == []
+        assert [w for w in words if _mask(w) != missing_set(knormalize(w))] == []
+
+    def test_round_trip_on_long_words(self):
+        # the lengths of the benchmark's words
+        rng = random.Random(19)
+        for _ in range(200):
+            w = tuple(rng.randrange(13) for _ in range(rng.randint(40, 200)))
+            nf = knormalize(w)
+            assert _mask(w) == missing_set(nf)
+            assert _word(_mask(w)) == nf
+
+    def test_frozen_examples(self):
+        assert _mask(()) == 0 and _word(0) == ()
+        assert _mask((0,)) == 0b1 and _mask((2,)) == 0b100
+        assert _mask((1, 0)) == _mask((0, 0)) == 0b11
+        assert _mask((3, 1, 2)) == 0b11010 and _word(0b11010) == (1, 2, 2)
+        assert _word(0b1011) == (0, 0, 1)
+
+    def test_fold_onto_a_mask_is_the_product(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            w, u = (tuple(rng.randrange(6) for _ in range(rng.randrange(9))) for _ in range(2))
+            assert _mask(w, _mask(u)) == _mask(w + u) == missing_set(kmul(w, u))
+
+    @pytest.mark.parametrize("word,message", [
+        ((-1, 2, 3), "^generator indices must be nonnegative$"),
+        ((1, 2, -3), "^generator indices must be nonnegative$"),
+        ((0.5, 0), "^generator index 0.5 is not an int$"),
+        ((True, -1), "^generator indices must be nonnegative$"),
+        ((-1, "1"), "^generator index '1' is not an int$"),
+    ])
+    def test_errors_are_those_of_knormalize(self, word, message):
+        # both read the word right to left, so the same letter is reported
+        for f in (knormalize, _mask):
+            with pytest.raises(ValueError, match=message):
+                f(word)
+
+    def test_left_cancel_test_is_its_kmul_form(self):
+        # the samples of test_left_cancellative_on_samples, and every
+        # triple of short words, many pairs of which name one element
+        rng = random.Random(17)
+        triples = [tuple(tuple(rng.randrange(4) for _ in range(rng.randrange(5)))
+                         for _ in range(3)) for _ in range(300)]
+        short = [w for n in range(4) for w in itertools.product(range(3), repeat=n)]
+        triples += [(w, u, v) for w in short[:13] for u in short for v in short]
+        assert all(left_cancel_test(*t) == left_cancel_by_kmul(*t) for t in triples)
+
+    def test_left_cancel_test_reads_both_sides(self, monkeypatch):
+        # with a w*u that forgets u, the test must fail exactly on the
+        # pairs u, v that name different elements
+        fold = kruml._mask
+        monkeypatch.setattr(kruml, "_mask", lambda word, mask=0: fold(word))
+        short = [w for n in range(3) for w in itertools.product(range(3), repeat=n)]
+        got = [left_cancel_test((1,), u, v) for u in short for v in short]
+        assert got == [knormalize(u) == knormalize(v) for u in short for v in short]
+        assert not all(got)
 
 
 def rewrite_at(word, p):
@@ -303,6 +382,20 @@ class TestNormalWords:
         assert list(normal_words(0, 3)) == [()]
 
 
+def list_push(small, large, words):
+    # the word-list push FinXSystem._push made before it worked on masks:
+    # each inserted position i, in ascending order, prepends a_i to the
+    # list form of each normal word
+    ins = [i for i, z in enumerate(large) if z not in small]
+    out = []
+    for w in words:
+        w = list(w)
+        for i in ins:
+            _prepend(i, w)
+        out.append(tuple(w))
+    return out
+
+
 class TestFinXSystem:
     FS = FinXSystem(("x", "y", "z", "t"))
 
@@ -349,17 +442,21 @@ class TestFinXSystem:
 
     def test_list_push_equals_one_word_pushes(self):
         # every ordered pair small <= large of subsets of the ground and
-        # every word of normal_words(4, 4): one push of the whole list
-        # gives each word's own push and its public transition
+        # every word of normal_words(4, 4): one push of the whole list of
+        # masks gives the word-list push it replaced, each mask's own push
+        # and the public transition
         fs = self.FS
         subsets = [c for r in range(5) for c in itertools.combinations(fs.ground, r)]
         pairs = [(s, t) for t in subsets for s in subsets if set(s) <= set(t)]
         words = list(normal_words(4, 4))
+        masks = [_mask(w) for w in words]
         assert (len(pairs), len(words)) == (81, 126)
         for small, large in pairs:
-            pushed = fs._push(small, large, words)
-            assert pushed == [fs._push(small, large, [w])[0] for w in words]
-            assert pushed == [fs.transition(small, large, w) for w in words]
+            want = list_push(small, large, words)
+            pushed = fs._push(small, large, masks)
+            assert pushed == [missing_set(w) for w in want]
+            assert pushed == [fs._push(small, large, [mk])[0] for mk in masks]
+            assert want == [fs.transition(small, large, w) for w in words]
 
     def test_beta_identities(self):
         # prepending a1 in the copy at {x,y} is the same colimit element

@@ -46,7 +46,7 @@ from actcovers import (  # noqa: E402
     verify_universality,
 )
 from actcovers.flatness import _strongly_flat_congruences  # noqa: E402
-from actcovers.kruml import _coded_rows, _decode  # noqa: E402
+from actcovers.kruml import _coded_rows, _decode, _mask, _word  # noqa: E402
 from test_acts import (  # noqa: E402
     classes_of,
     reference_is_right_congruence,
@@ -184,6 +184,17 @@ def test_append_is_the_normal_form_of_the_product(max_len, max_index, letters):
             for i, row in enumerate(rows):
                 r = _decode(row[k], shift)
                 assert r == knormalize(w + (i,)) == rightmost_normalize(w + (i,))
+
+
+@SETTINGS
+@given(st.integers(0, 12), words)
+def test_left_multiplication_inserts_a_bit(m, w):
+    # a_m on a missing set keeps the bits below m, sets bit m and moves
+    # the bits from m up by one; the result is the mask of the product
+    mask = _mask(w)
+    left = mask & (1 << m) - 1 | 1 << m | mask >> m << m + 1
+    assert left == _mask((m,), mask) == _mask(knormalize((m,) + w))
+    assert _word(left) == knormalize((m,) + w) == rightmost_normalize((m,) + w)
 
 
 @SETTINGS

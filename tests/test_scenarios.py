@@ -254,15 +254,16 @@ class TestKrumlWitnessOrder:
         (("z",), "y", (3,)),
     ])
     def test_path_independence(self, monkeypatch, cur, z, bad_word):
-        # one single-label step, from cur by z, gains a letter: for every
-        # word, or only for bad_word
+        # one single-label step, from cur by z, gains a letter a_0: for
+        # every word, or only for bad_word
         push = FinXSystem._push
+        bad = None if bad_word is None else kruml._mask(bad_word)
 
-        def broken(self, small, large, words):
-            out = push(self, small, large, words)
+        def broken(self, small, large, masks):
+            out = push(self, small, large, masks)
             if small == cur and set(large) == set(cur) | {z}:
-                return [o + (0,) if bad_word in (None, w) else o
-                        for o, w in zip(out, words)]
+                return [o << 1 | 1 if bad in (None, mk) else o
+                        for o, mk in zip(out, masks)]
             return out
 
         monkeypatch.setattr(FinXSystem, "_push", broken)
@@ -280,12 +281,13 @@ class TestKrumlWitnessOrder:
         # every single-label edge still commutes and the lattice check must
         # catch it by comparing the reached word with the canonical one
         push = FinXSystem._push
+        bad = None if bad_word is None else kruml._mask(bad_word)
 
-        def broken(self, s, t, words):
-            out = push(self, s, t, words)
+        def broken(self, s, t, masks):
+            out = push(self, s, t, masks)
             if (s, t) == (small, large):
-                return [o + (0,) if bad_word in (None, w) else o
-                        for o, w in zip(out, words)]
+                return [o << 1 | 1 if bad in (None, mk) else o
+                        for o, mk in zip(out, masks)]
             return out
 
         monkeypatch.setattr(FinXSystem, "_push", broken)
@@ -295,19 +297,27 @@ class TestKrumlWitnessOrder:
 
     @staticmethod
     def _perturb_rows(monkeypatch, perturb):
-        # run_kruml gets each coded product of kruml._products taken
-        # through the perturbed product; the oracle gets the same
-        # perturbation of kmul
-        real = kruml._products
+        # run_kruml gets each row that _coded_rows yields taken through
+        # the perturbed product, read from the true rows of the same
+        # group; the oracle gets the same perturbation of kmul.  The rows
+        # are replaced as they leave _coded_rows: it builds each group's
+        # rows from its parent's, so a wrong row stored inside it would
+        # spread to every descendant
+        real = scenarios._coded_rows
 
-        def products(codes, i, shift):
-            def mul(u, v):
-                return real([sum(1 << x * shift for x in u)], v[0], shift)[0]
+        def coded_rows(max_len, max_index, letters):
+            shift, groups = real(max_len, max_index, letters)
 
-            product = perturb(mul)
-            return [product(kruml._decode(c, shift), (i,)) for c in codes]
+            def perturbed():
+                for codes, rows in groups:
+                    words = [kruml._decode(c, shift) for c in codes]
+                    at = {w: k for k, w in enumerate(words)}
+                    product = perturb(lambda u, v: rows[v[0]][at[u]])
+                    yield codes, [[product(w, (i,)) for w in words] for i in range(letters)]
 
-        monkeypatch.setattr(kruml, "_products", products)
+            return shift, perturbed()
+
+        monkeypatch.setattr(scenarios, "_coded_rows", coded_rows)
         return perturb(kmul)
 
     @pytest.mark.parametrize("length,head,i,j", [(4, (2,), 7, 5), (0, (), 3, 1),
@@ -349,7 +359,7 @@ class TestKrumlWitnessOrder:
 
 class TestKrumlInsertionTree:
     def test_one_push_per_edge(self, monkeypatch):
-        # one push of all 126 words for each of the 81 canonical pairs and
+        # one push of all 126 masks for each of the 81 canonical pairs and
         # each of the 108 edges of the subset lattices above each small
         # subset, and 508 one-word pushes from the cocone and injection
         # assertions; the permutation scan for the least witness runs
@@ -357,9 +367,9 @@ class TestKrumlInsertionTree:
         calls = []
         push = FinXSystem._push
 
-        def counted(self, small, large, words):
-            calls.append(len(words))
-            return push(self, small, large, words)
+        def counted(self, small, large, masks):
+            calls.append(len(masks))
+            return push(self, small, large, masks)
 
         monkeypatch.setattr(FinXSystem, "_push", counted)
         assert run_kruml(0, KRUML_SAMPLE_FLOOR).passed
