@@ -421,6 +421,8 @@ def quotient_map(m: Monoid, sigma: RightCongruence) -> ActMap:
 
 def canonical_projection(m: Monoid, sigma: RightCongruence, rho: RightCongruence) -> ActMap:
     """Projection S/sigma -> S/rho when sigma refines rho."""
+    _require_monoid(m, sigma)
+    _require_monoid(m, rho)
     image = tuple(rho.class_of[r] for r in _least_members(sigma.class_of))
     if any(image[c] != d for c, d in zip(sigma.class_of, rho.class_of)):
         raise ValueError("sigma does not refine rho")

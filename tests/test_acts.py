@@ -54,7 +54,7 @@ from actcovers import (
     subact_closure,
     unique_up_to_iso,
 )
-from actcovers.acts import _checked_congruence, _compatibility_failure, _trusted
+from actcovers.acts import _canonical, _checked_congruence, _compatibility_failure, _trusted
 from actcovers.scenarios import left_kernel, qiao_rho, qiao_sigmas
 from test_acceptance import scenario_systems
 from test_flatness import rz2_acts, sigma
@@ -712,7 +712,8 @@ class TestCyclicIsoWitness:
 
     def test_agrees_with_structural_iso_small_monoids(self):
         # the oracle of unique_up_to_iso, over every ordered pair of
-        # cyclic quotients of every monoid of order <= 4
+        # cyclic quotients of every monoid of order <= 4; the least u is
+        # also the one the class-count decision finds
         pairs = isomorphic = 0
         for n in range(1, 5):
             for m in enumerate_monoids(n):
@@ -723,6 +724,7 @@ class TestCyclicIsoWitness:
                         w = cyclic_iso_witness(m, sa, sb)
                         iso = are_isomorphic(qa, qb)
                         assert (w is None) == (iso is None), (m.table, sa, sb)
+                        assert w == iso_witness_by_class_count(m, sa, sb), (m.table, sa, sb)
                         pairs += 1
                         isomorphic += w is not None
         assert (pairs, isomorphic) == (6547, 1073)
@@ -749,35 +751,75 @@ class TestCyclicIsoWitness:
                     certified += 1
         assert certified == 1073 + 7 + 33
 
+    @pytest.mark.parametrize("monoids, pairs, isomorphic", [
+        ([right_zero_adjoin_one(n) for n in range(1, 6)], 44167, 673),
+        ([Q23], 729, 33),
+    ], ids=["right-zero-1-5", "Q23"])
+    def test_least_witness_equals_the_class_count_decision(self, monoids, pairs, isomorphic):
+        # the same least u as the decision on class vectors alone, over
+        # every ordered pair of congruences, isomorphic or not; RZ2 is
+        # right_zero_adjoin_one(2)
+        seen = certified = 0
+        for m in monoids:
+            congs = all_right_congruences(m)
+            for sa in congs:
+                for sb in congs:
+                    u = cyclic_iso_witness(m, sa, sb)
+                    assert u == iso_witness_by_class_count(m, sa, sb), (m.table, sa, sb)
+                    seen += 1
+                    certified += u is not None
+        assert (seen, certified) == (pairs, isomorphic)
+
+
+def iso_witness_by_class_count(m, sigma, tau):
+    """The least u with the pullback of tau along u equal to sigma, when
+    sigma and tau have as many classes; else None.  Once the pullback
+    matches, [s] -> [u*s] is injective, so the class of u generates
+    S/tau exactly when the class counts agree; conversely an
+    isomorphism f has f([1]) = [u] for such a u.  No act is built."""
+    cls, want = tau.class_of, sigma.class_of
+    if max(cls) != max(want):
+        return None
+    return next((u for u in range(m.order)
+                 if _canonical([cls[v] for v in m.table[u]]) == want), None)
+
 
 # the group of order 3 and sigma_{z1} over RZ2: the same order, so only
-# the monoid check tells them apart
+# the monoid check tells them apart; a foreign congruence of order 2 or
+# 4 also catches an entry that reads class vectors before that check
 Z3 = next(m for m in enumerate_monoids(3) if is_group(m))
 FOREIGN = sigma(RZ2, 1)
+FOREIGN_BY_ORDER = {2: sigma(right_zero_adjoin_one(1), 1), 4: sigma(RZ3, 1)}
 Z3_DIAGONAL = congruence_from_partition(Z3, [[0], [1], [2]])
 
 
 class TestForeignMonoid:
     ENTRIES = {
-        "quotient_act": lambda: quotient_act(Z3, FOREIGN),
-        "quotient_map": lambda: quotient_map(Z3, FOREIGN),
-        "canonical_projection-sigma": lambda: canonical_projection(
-            Z3, FOREIGN, full_congruence(Z3)),
-        "canonical_projection-rho": lambda: canonical_projection(Z3, Z3_DIAGONAL, FOREIGN),
-        "cyclic_iso_witness-sigma": lambda: cyclic_iso_witness(Z3, FOREIGN, Z3_DIAGONAL),
-        "cyclic_iso_witness-tau": lambda: cyclic_iso_witness(Z3, Z3_DIAGONAL, FOREIGN),
-        "unique_up_to_iso": lambda: unique_up_to_iso(Z3, [FOREIGN, FOREIGN]),
-        "unique_up_to_iso-one-entry": lambda: unique_up_to_iso(Z3, [FOREIGN]),
-        "pullback_relation-congruence": lambda: pullback_relation(Z3, FOREIGN, 1),
-        "pullback_relation-relation": lambda: pullback_relation(Z3, FOREIGN.relation(), 1),
-        "is_right_congruence": lambda: is_right_congruence(Z3, FOREIGN.relation()),
-        "relation_to_congruence": lambda: relation_to_congruence(Z3, FOREIGN.relation()),
+        "quotient_act": lambda f: quotient_act(Z3, f),
+        "quotient_map": lambda f: quotient_map(Z3, f),
+        "canonical_projection-sigma": lambda f: canonical_projection(
+            Z3, f, full_congruence(Z3)),
+        "canonical_projection-rho": lambda f: canonical_projection(Z3, Z3_DIAGONAL, f),
+        "cyclic_iso_witness-sigma": lambda f: cyclic_iso_witness(Z3, f, Z3_DIAGONAL),
+        "cyclic_iso_witness-tau": lambda f: cyclic_iso_witness(Z3, Z3_DIAGONAL, f),
+        "unique_up_to_iso": lambda f: unique_up_to_iso(Z3, [f, f]),
+        "unique_up_to_iso-one-entry": lambda f: unique_up_to_iso(Z3, [f]),
+        "pullback_relation-congruence": lambda f: pullback_relation(Z3, f, 1),
+        "pullback_relation-relation": lambda f: pullback_relation(Z3, f.relation(), 1),
+        "is_right_congruence": lambda f: is_right_congruence(Z3, f.relation()),
+        "relation_to_congruence": lambda f: relation_to_congruence(Z3, f.relation()),
     }
 
     @pytest.mark.parametrize("call", ENTRIES.values(), ids=ENTRIES.keys())
     def test_congruence_or_relation_over_another_monoid_is_rejected(self, call):
         with pytest.raises(ValueError, match="over another monoid"):
-            call()
+            call(FOREIGN)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("call", ENTRIES.values(), ids=ENTRIES.keys())
+    def test_a_foreign_monoid_of_another_order_is_rejected(self, call, order):
+        with pytest.raises(ValueError, match="over another monoid"):
+            call(FOREIGN_BY_ORDER[order])
 
     def test_an_equal_monoid_is_accepted(self):
         twin = right_zero_adjoin_one(2)

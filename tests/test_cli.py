@@ -103,6 +103,16 @@ class TestKrumlNf:
         assert doc == {"input": [1, 0], "normal": [0, 0],
                        "input_was_normal": False}
 
+    @pytest.mark.parametrize("letters, normal", [
+        ([5, 10**300], [5, 10**300]),
+        ([10**300, 0], [0, 10**300 - 1]),
+    ], ids=["normal", "reordered"])
+    def test_huge_letter(self, capsys, letters, normal):
+        # knormalize works on the letters themselves, never on the
+        # missing-set mask, which is dense up to the largest letter
+        assert main(["kruml-nf", *map(str, letters)]) == 0
+        assert capsys.readouterr().out == " ".join(map(str, normal)) + "\n"
+
     def test_negative_letter(self, capsys):
         assert main(["kruml-nf", "--", "-1"]) == 2
         assert "error:" in capsys.readouterr().err
