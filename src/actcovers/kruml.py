@@ -28,6 +28,18 @@ normal word l_0 <= ... <= l_(k-1) misses the set {l_p + p}, kept as a
 bit mask, and a_m*M inserts bit m, shifting the bits >= m up by one.
 Left cancellation holds because each such map is injective.
 
+Each entry point works on the letters or on the mask.  The letter walk,
+_prepend, costs up to m steps for a letter a_m; the mask costs a few
+integer operations per letter, but it is dense up to the largest letter,
+as is the decoding by _word, and a letter of 10**300 cannot be a bit of
+it.  So the mask is taken behind a guard on the letters: knormalize takes
+it for a word of 24 letters or more whose letters are all below its
+length (shorter words are faster on the walk), and left_cancel_test and
+the FinXSystem transitions take it while every letter is below
+_MASK_BOUND.  _mask returns None for any letter it does not take, large
+or not a nonnegative int, and the caller goes to the letters, which
+report the rightmost bad letter: the errors are those of knormalize.
+
 FinXSystem models the directed system indexed by finite subsets Y of
 an ordered label set X: each object is a copy of the monoid, and the
 arrow for Y into Y + {z} is left multiplication by a_i where i counts
@@ -47,6 +59,12 @@ from .errors import NotSubsetError, _quote
 
 KWord = tuple  # tuple of int generator indices
 
+# The mask paths take letters below this.  A transition on the mask costs
+# time in the largest letter, which _word decodes bit by bit, on the walk
+# not: for a 24-letter word, at a letter of 64 the mask costs about what
+# the walk does, at 4096 almost thirty times more.
+_MASK_BOUND = 64
+
 
 def _prepend(m: int, w: list) -> None:
     """Turn the normal word w, a list, into the normal form of a_m*w."""
@@ -57,27 +75,39 @@ def _prepend(m: int, w: list) -> None:
     w.insert(pos, m)
 
 
-def knormalize(word: Sequence[int]) -> KWord:
-    """Normal form via one insertion pass, right to left."""
-    w = []
+def _check_letters(word: Sequence[int]) -> None:
+    """Raise for the rightmost letter that is not a nonnegative int."""
     for m in reversed(word):
         if type(m) is not int:
             raise ValueError(f"generator index {_quote(m)} is not an int")
         if m < 0:
             raise ValueError("generator indices must be nonnegative")
+
+
+def knormalize(word: Sequence[int]) -> KWord:
+    """Normal form: on the missing-set mask for a word of 24 letters or
+    more whose letters are all below its length, else by one insertion
+    pass, right to left."""
+    n = len(word)
+    if n >= 24 and (mask := _mask(word, 0, n)) is not None:
+        return _word(mask)
+    w = []
+    for m in reversed(word):
+        if type(m) is not int or m < 0:
+            _check_letters(word)  # raises for m, the rightmost bad letter
         _prepend(m, w)
     return tuple(w)
 
 
-def _mask(word: Sequence[int], mask: int = 0) -> int:
+def _mask(word: Sequence[int], mask: int = 0, bound: int = _MASK_BOUND) -> int | None:
     """The missing set of word*x as a bit mask, for x with missing set mask:
     each letter a_m, right to left, inserts bit m, adding the mask's bits
-    >= m to it (which moves them up by one) and then bit m."""
+    >= m to it (which moves them up by one) and then bit m.  None when a
+    letter is not an int in range(bound): the caller takes the letter path,
+    which rejects a bad letter and works on any large one."""
     for m in reversed(word):
-        if type(m) is not int:
-            raise ValueError(f"generator index {_quote(m)} is not an int")
-        if m < 0:
-            raise ValueError("generator indices must be nonnegative")
+        if type(m) is not int or not 0 <= m < bound:
+            return None
         mask = (mask >> m << m) + mask + (1 << m)
     return mask
 
@@ -94,6 +124,7 @@ def knormalize_random(word: Sequence[int], rng: random.Random) -> KWord:
     Confluence makes the outcome independent of the strategy; tests
     compare this against knormalize on sampled words.
     """
+    _check_letters(word)
     w = list(word)
     while True:
         redexes = [p for p in range(len(w) - 1) if w[p] > w[p + 1]]
@@ -113,9 +144,10 @@ def kmul(u: Sequence[int], v: Sequence[int]) -> KWord:
 
 def left_cancel_test(w: Sequence[int], u: Sequence[int], v: Sequence[int]) -> bool:
     """The implication  w*u = w*v  =>  u = v  for these words."""
-    if _mask(w, _mask(u)) != _mask(w, _mask(v)):
-        return True
-    return _mask(u) == _mask(v)
+    mu, mv = _mask(u), _mask(v)
+    if mu is None or mv is None or (wu := _mask(w, mu)) is None:
+        return kmul(w, u) != kmul(w, v) or knormalize(u) == knormalize(v)
+    return wu != _mask(w, mv) or mu == mv
 
 
 def right_cancellation_counterexamples(max_index: int) -> list[tuple[int, int, int]]:
@@ -236,7 +268,10 @@ class FinXSystem:
         large = self._check_subset(large)
         if not set(small) <= set(large):
             raise NotSubsetError("first subset must be contained in the second")
-        return _word(self._push(small, large, [_mask(word)])[0])
+        mask = _mask(word)
+        if mask is None:
+            return self._walk(small, large, word)
+        return _word(self._push(small, large, [mask])[0])
 
     def _push(self, small: tuple, large: tuple, masks: list) -> list:
         """The transition of each of a list of missing-set masks, on checked
@@ -246,6 +281,14 @@ class FinXSystem:
             bit = 1 << i
             masks = [(mk >> i << i) + mk + bit for mk in masks]
         return masks
+
+    def _walk(self, small: tuple, large: tuple, word: Sequence[int]) -> KWord:
+        """The transition on the letters, for a word _mask does not take:
+        each inserted position i, in ascending order, prepends a_i."""
+        w = list(knormalize(word))
+        for i in [i for i, z in enumerate(large) if z not in small]:
+            _prepend(i, w)
+        return tuple(w)
 
     def colimit_equal(self, e1: ColimitElement, e2: ColimitElement) -> bool:
         """Equality in the colimit, decided at the union of the subsets.
@@ -257,6 +300,7 @@ class FinXSystem:
         """
         s1, s2 = self._check_subset(e1.subset), self._check_subset(e2.subset)
         union = tuple(z for z in self.ground if z in s1 or z in s2)
-        m1 = self._push(s1, union, [_mask(e1.word)])
-        m2 = self._push(s2, union, [_mask(e2.word)])
-        return m1 == m2
+        m1, m2 = _mask(e1.word), _mask(e2.word)
+        if m1 is None or m2 is None:
+            return self._walk(s1, union, e1.word) == self._walk(s2, union, e2.word)
+        return self._push(s1, union, [m1]) == self._push(s2, union, [m2])

@@ -283,11 +283,31 @@ MUTANTS = (
         ("tests/test_jsonio.py::TestSystemDocs",)),
     Mutant(
         "colimit-equal-without-push", "kruml.py",
-        "        m1 = self._push(s1, union, [_mask(e1.word)])\n"
-        "        m2 = self._push(s2, union, [_mask(e2.word)])\n",
-        "        m1 = [_mask(e1.word)]\n"
-        "        m2 = [_mask(e2.word)]\n",
+        "return self._push(s1, union, [m1]) == self._push(s2, union, [m2])",
+        "return [m1] == [m2]",
         ("tests/test_kruml.py::TestFinXSystem",)),
+    Mutant(
+        "kruml-mask-paths-without-fallback", "kruml.py",
+        "_MASK_BOUND = 64",
+        "_MASK_BOUND = float(\"inf\")",
+        ("tests/test_kruml.py::TestMaskBound",)),
+    Mutant(
+        "kruml-walk-push-drops-insertions", "kruml.py",
+        "            _prepend(i, w)\n",
+        "            pass\n",
+        ("tests/test_kruml.py::TestMaskBound::test_transition",)),
+    Mutant(
+        "kruml-normalize-without-length-guard", "kruml.py",
+        "(mask := _mask(word, 0, n))",
+        "(mask := _mask(word, 0, float(\"inf\")))",
+        ("tests/test_kruml.py::TestNormalize::test_a_huge_letter_stays_on_the_walk",)),
+    Mutant(
+        "kruml-random-strategy-letters-unchecked", "kruml.py",
+        "    _check_letters(word)\n    w = list(word)\n",
+        "    w = list(word)\n",
+        ("tests/test_kruml.py::TestNormalize::test_random_strategy_checks_letters[negative]",
+         "tests/test_kruml.py::TestNormalize::test_random_strategy_checks_letters[str]",
+         "tests/test_kruml.py::TestNormalize::test_random_strategy_checks_letters[bool]")),
 )
 
 

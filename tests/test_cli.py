@@ -12,6 +12,7 @@ from actcovers import (
     ActMap,
     congruence_from_partition,
     disjoint_union,
+    knormalize,
     make_system,
     one_element_act,
     quotient_act,
@@ -108,10 +109,20 @@ class TestKrumlNf:
         ([10**300, 0], [0, 10**300 - 1]),
     ], ids=["normal", "reordered"])
     def test_huge_letter(self, capsys, letters, normal):
-        # knormalize works on the letters themselves, never on the
-        # missing-set mask, which is dense up to the largest letter
+        # a short word stays on the letters, never on the missing-set
+        # mask, which is dense up to the largest letter
         assert main(["kruml-nf", *map(str, letters)]) == 0
         assert capsys.readouterr().out == " ".join(map(str, normal)) + "\n"
+
+    @pytest.mark.parametrize("letters", [
+        [(7 * p) % 11 for p in range(15)] + [10**12] + [(5 * p) % 13 for p in range(14)],
+        [(37 * p) % 199 for p in range(200)],
+    ], ids=["huge-letter-30", "long-200"])
+    def test_long_words(self, capsys, letters):
+        # from 24 letters on, a word whose letters are below its length is
+        # normalized on the mask, and one with a larger letter on the walk
+        assert main(["kruml-nf", *map(str, letters)]) == 0
+        assert capsys.readouterr().out == " ".join(map(str, knormalize(letters))) + "\n"
 
     def test_negative_letter(self, capsys):
         assert main(["kruml-nf", "--", "-1"]) == 2

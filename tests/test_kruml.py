@@ -24,7 +24,16 @@ from actcovers import (
     normal_words,
     right_cancellation_counterexamples,
 )
-from actcovers.kruml import _coded_rows, _decode, _mask, _prepend, _word
+from actcovers.kruml import _MASK_BOUND, _coded_rows, _decode, _mask, _prepend, _word
+
+
+def walk_normalize(word):
+    # knormalize's letter walk: each letter, right to left, prepended to
+    # the list form of the normal word
+    w = []
+    for m in reversed(word):
+        _prepend(m, w)
+    return tuple(w)
 
 
 def rightmost_normalize(word):
@@ -103,6 +112,44 @@ class TestNormalize:
             for w in itertools.product(range(4), repeat=n):
                 assert knormalize(w) == rightmost_normalize(w)
 
+    @pytest.mark.parametrize("length", [23, 24, 25, 200])
+    @pytest.mark.parametrize("top", [-1, 0], ids=["len-1", "len"])
+    def test_mask_and_walk_agree_around_the_selection(self, length, top):
+        # knormalize takes the mask from 24 letters on while every letter
+        # is below the length; each side of both guards gives the walk's
+        # word and the random strategy's
+        rng = random.Random(length)
+        for _ in range(3):
+            w = [rng.randrange(length) for _ in range(length - 1)]
+            w.insert(rng.randrange(length), length + top)
+            w = tuple(w)
+            nf = walk_normalize(w)
+            assert knormalize(w) == nf == knormalize_random(w, rng)
+            assert max(w) == length + top
+
+    @pytest.mark.parametrize("where", [0, 13, 29])
+    def test_a_huge_letter_stays_on_the_walk(self, where):
+        # a mask holding bit 10**300 cannot be built
+        w = [(3 * p) % 7 for p in range(29)]
+        w.insert(where, 10**300)
+        w = tuple(w)
+        nf = walk_normalize(w)
+        assert knormalize(w) == nf == knormalize_random(w, random.Random(where))
+        assert nf[-1] == 10**300 - sum(x < 10**300 for x in w[where + 1:])
+
+    @pytest.mark.parametrize("word,message", [
+        ((-1, 0), "^generator indices must be nonnegative$"),
+        (("a",), "^generator index 'a' is not an int$"),
+        ((True, 0), "^generator index True is not an int$"),
+        ((0.5, 0), "^generator index 0.5 is not an int$"),
+    ], ids=["negative", "str", "bool", "fraction"])
+    def test_random_strategy_checks_letters(self, word, message):
+        # before the first draw, with knormalize's messages; without the
+        # check, the fraction keeps dropping below every letter forever
+        for f in (knormalize, lambda w: knormalize_random(w, random.Random(0))):
+            with pytest.raises(ValueError, match=message):
+                f(word)
+
 
 class TestMultiplication:
     def test_associative_on_samples(self):
@@ -168,13 +215,14 @@ class TestMasks:
         assert [w for w in words if _mask(w) != missing_set(knormalize(w))] == []
 
     def test_round_trip_on_long_words(self):
-        # the lengths of the benchmark's words
+        # the lengths of the benchmark's words, where knormalize is the
+        # mask itself, so the walk is the reference
         rng = random.Random(19)
         for _ in range(200):
             w = tuple(rng.randrange(13) for _ in range(rng.randint(40, 200)))
-            nf = knormalize(w)
+            nf = walk_normalize(w)
             assert _mask(w) == missing_set(nf)
-            assert _word(_mask(w)) == nf
+            assert _word(_mask(w)) == nf == knormalize(w)
 
     def test_frozen_examples(self):
         assert _mask(()) == 0 and _word(0) == ()
@@ -189,16 +237,37 @@ class TestMasks:
             w, u = (tuple(rng.randrange(6) for _ in range(rng.randrange(9))) for _ in range(2))
             assert _mask(w, _mask(u)) == _mask(w + u) == missing_set(kmul(w, u))
 
-    @pytest.mark.parametrize("word,message", [
+    SHORT_ERRORS = [
         ((-1, 2, 3), "^generator indices must be nonnegative$"),
         ((1, 2, -3), "^generator indices must be nonnegative$"),
         ((0.5, 0), "^generator index 0.5 is not an int$"),
         ((True, -1), "^generator indices must be nonnegative$"),
         ((-1, "1"), "^generator index '1' is not an int$"),
-    ])
+    ]
+    # 30 letters with a bad one to the right or the left of a large one
+    LONG_ERRORS = [
+        (pair + (0, 1, 2) * 9 + (5,), message)
+        for bad, message in (("1", "^generator index '1' is not an int$"),
+                             (-4, "^generator indices must be nonnegative$"),
+                             (True, "^generator index True is not an int$"))
+        for big in (30, 10**300)
+        for pair in ((bad, big), (big, bad))
+    ]
+
+    @pytest.mark.parametrize("word,message", SHORT_ERRORS + LONG_ERRORS)
     def test_errors_are_those_of_knormalize(self, word, message):
-        # both read the word right to left, so the same letter is reported
-        for f in (knormalize, _mask):
+        # _mask takes no bad letter; every entry point then reads the word
+        # right to left on the letters, so the same letter is reported
+        fs = FinXSystem(("x", "y"))
+        assert _mask(word) is None and _mask(word, 0, len(word)) is None
+        for f in (knormalize,
+                  lambda w: knormalize_random(w, random.Random(0)),
+                  lambda w: kmul(w, (1,)),
+                  lambda w: left_cancel_test(w, (1,), (0,)),
+                  lambda w: left_cancel_test((1,), (0,), w),
+                  lambda w: fs.transition(("x",), ("x", "y"), w),
+                  lambda w: fs.colimit_equal(ColimitElement(("y",), (0,)),
+                                             ColimitElement(("x",), w))):
             with pytest.raises(ValueError, match=message):
                 f(word)
 
@@ -394,6 +463,52 @@ def list_push(small, large, words):
             _prepend(i, w)
         out.append(tuple(w))
     return out
+
+
+class TestMaskBound:
+    # the mask paths take letters below _MASK_BOUND and hand a word with
+    # a larger one to the letters; knormalize, kmul and list_push are the
+    # oracles on both sides of the bound
+    FS = FinXSystem(("x", "y", "z", "t"))
+    LETTERS = [_MASK_BOUND - 1, _MASK_BOUND, 10**300]
+
+    @staticmethod
+    def words(big):
+        return [(big,), (big, 0), (2, big, 1, 0), (0,) * 5 + (big,), (big,) * 3]
+
+    @pytest.mark.parametrize("big", LETTERS, ids=["bound-1", "bound", "huge"])
+    def test_transition(self, big):
+        fs = self.FS
+        subsets = [c for r in range(5) for c in itertools.combinations(fs.ground, r)]
+        pairs = [(s, t) for t in subsets for s in subsets if set(s) <= set(t)]
+        for w in self.words(big):
+            assert (_mask(w) is None) == (big >= _MASK_BOUND)
+            for small, large in pairs:
+                assert fs.transition(small, large, w) == list_push(small, large, [knormalize(w)])[0]
+
+    @pytest.mark.parametrize("big", LETTERS, ids=["bound-1", "bound", "huge"])
+    def test_colimit_equal(self, big):
+        fs = self.FS
+        small = [("x",), ("y", "t"), ()]
+        elements = [ColimitElement(y, w) for y in small for w in self.words(big)]
+        elements += [ColimitElement(("x", "y", "t"), fs.transition(("y", "t"), ("x", "y", "t"), w))
+                     for w in self.words(big)]
+        for e1 in elements:
+            for e2 in elements:
+                union = tuple(z for z in fs.ground if z in e1.subset or z in e2.subset)
+                want = (list_push(e1.subset, union, [knormalize(e1.word)])
+                        == list_push(e2.subset, union, [knormalize(e2.word)]))
+                assert fs.colimit_equal(e1, e2) == want
+        assert sum(fs.colimit_equal(e1, e2) for e1 in elements for e2 in elements) > len(elements)
+
+    @pytest.mark.parametrize("big", LETTERS, ids=["bound-1", "bound", "huge"])
+    def test_left_cancel_test(self, big):
+        # the large letter in each of w, u and v, with short words that
+        # name the same element and ones that do not
+        words = self.words(big) + [(), (0,), (1, 0), (0, 0), (big - 1, 0)]
+        for w, u, v in itertools.product(words, repeat=3):
+            assert left_cancel_test(w, u, v) == left_cancel_by_kmul(w, u, v)
+        assert kmul((big,), (0,)) == (0, big - 1)
 
 
 class TestFinXSystem:
