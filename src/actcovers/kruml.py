@@ -32,13 +32,16 @@ Each entry point works on the letters or on the mask.  The letter walk,
 _prepend, costs up to m steps for a letter a_m; the mask costs a few
 integer operations per letter, but it is dense up to the largest letter,
 as is the decoding by _word, and a letter of 10**300 cannot be a bit of
-it.  So the mask is taken behind a guard on the letters: knormalize takes
-it for a word of 24 letters or more whose letters are all below its
-length (shorter words are faster on the walk), and left_cancel_test and
-the FinXSystem transitions take it while every letter is below
-_MASK_BOUND.  _mask returns None for any letter it does not take, large
-or not a nonnegative int, and the caller goes to the letters, which
-report the rightmost bad letter: the errors are those of knormalize.
+it.  So the mask is taken behind a guard on the letters.  knormalize
+reads a word of _MASK_MIN_LENGTH letters or more onto the mask, right to
+left, while its letters are below the word's length (shorter words are
+faster on the walk), and prepends the letters left over to the mask's
+word.  left_cancel_test and colimit_equal take the mask while every
+letter is below _MASK_BOUND; _mask returns None for any letter it does
+not take, large or not a nonnegative int, and the caller goes to the
+letters.  FinXSystem.transition, which decodes what it pushes, always
+works on the letters.  The letters report the rightmost bad letter, so
+the errors are those of knormalize.
 
 FinXSystem models the directed system indexed by finite subsets Y of
 an ordered label set X: each object is a copy of the monoid, and the
@@ -65,6 +68,11 @@ KWord = tuple  # tuple of int generator indices
 # the walk does, at 4096 almost thirty times more.
 _MASK_BOUND = 64
 
+# knormalize takes the mask from this length on: on random words whose
+# letters are below their length the two paths break even at 20 to 24
+# letters, and the mask is twice as fast at 64 letters.
+_MASK_MIN_LENGTH = 24
+
 
 def _prepend(m: int, w: list) -> None:
     """Turn the normal word w, a list, into the normal form of a_m*w."""
@@ -85,14 +93,23 @@ def _check_letters(word: Sequence[int]) -> None:
 
 
 def knormalize(word: Sequence[int]) -> KWord:
-    """Normal form: on the missing-set mask for a word of 24 letters or
-    more whose letters are all below its length, else by one insertion
-    pass, right to left."""
+    """Normal form by one insertion pass, right to left.  A word of
+    _MASK_MIN_LENGTH letters or more is read onto the missing-set mask, as
+    in _mask, until a letter is not below its length; the letters left of
+    it are then prepended to the mask's word."""
     n = len(word)
-    if n >= 24 and (mask := _mask(word, 0, n)) is not None:
-        return _word(mask)
-    w = []
-    for m in reversed(word):
+    w, rest = [], word
+    if n >= _MASK_MIN_LENGTH:
+        mask = taken = 0
+        for m in reversed(word):
+            if type(m) is not int or not 0 <= m < n:
+                break
+            mask = (mask >> m << m) + mask + (1 << m)
+            taken += 1
+        else:
+            return _word(mask)
+        w, rest = list(_word(mask)), word[:n - taken]
+    for m in reversed(rest):
         if type(m) is not int or m < 0:
             _check_letters(word)  # raises for m, the rightmost bad letter
         _prepend(m, w)
@@ -268,10 +285,7 @@ class FinXSystem:
         large = self._check_subset(large)
         if not set(small) <= set(large):
             raise NotSubsetError("first subset must be contained in the second")
-        mask = _mask(word)
-        if mask is None:
-            return self._walk(small, large, word)
-        return _word(self._push(small, large, [mask])[0])
+        return self._walk(small, large, word)
 
     def _push(self, small: tuple, large: tuple, masks: list) -> list:
         """The transition of each of a list of missing-set masks, on checked
@@ -283,8 +297,8 @@ class FinXSystem:
         return masks
 
     def _walk(self, small: tuple, large: tuple, word: Sequence[int]) -> KWord:
-        """The transition on the letters, for a word _mask does not take:
-        each inserted position i, in ascending order, prepends a_i."""
+        """The transition on checked ground-ordered subsets, on the
+        letters: each inserted position i, in ascending order, prepends a_i."""
         w = list(knormalize(word))
         for i in [i for i, z in enumerate(large) if z not in small]:
             _prepend(i, w)

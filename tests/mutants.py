@@ -161,9 +161,14 @@ MUTANTS = (
         ("tests/test_kruml.py::TestAppend",)),
     Mutant(
         "kruml-mask-bits-not-moved", "kruml.py",
-        "mask = (mask >> m << m) + mask + (1 << m)",
-        "mask = mask | 1 << m",
+        "mask = (mask >> m << m) + mask + (1 << m)\n    return mask",
+        "mask = mask | 1 << m\n    return mask",
         ("tests/test_kruml.py::TestMasks::test_round_trip_on_all_short_words",)),
+    Mutant(
+        "kruml-normalize-mask-bits-not-moved", "kruml.py",
+        "mask = (mask >> m << m) + mask + (1 << m)\n            taken += 1",
+        "mask = mask | 1 << m\n            taken += 1",
+        ("tests/test_kruml.py::TestMasks::test_round_trip_on_long_words",)),
     Mutant(
         "kruml-word-drops-last-bit", "kruml.py",
         'bin(mask)[:1:-1].split("0")',
@@ -298,9 +303,14 @@ MUTANTS = (
         ("tests/test_kruml.py::TestMaskBound::test_transition",)),
     Mutant(
         "kruml-normalize-without-length-guard", "kruml.py",
-        "(mask := _mask(word, 0, n))",
-        "(mask := _mask(word, 0, float(\"inf\")))",
+        "if type(m) is not int or not 0 <= m < n:",
+        "if type(m) is not int or m < 0:",
         ("tests/test_kruml.py::TestNormalize::test_a_huge_letter_stays_on_the_walk",)),
+    Mutant(
+        "kruml-normalize-walk-drops-mask-word", "kruml.py",
+        "w, rest = list(_word(mask)), word[:n - taken]",
+        "w, rest = [], word[:n - taken]",
+        ("tests/test_kruml.py::TestNormalize::test_the_walk_goes_on_from_the_mask",)),
     Mutant(
         "kruml-random-strategy-letters-unchecked", "kruml.py",
         "    _check_letters(word)\n    w = list(word)\n",

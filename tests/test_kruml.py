@@ -24,7 +24,8 @@ from actcovers import (
     normal_words,
     right_cancellation_counterexamples,
 )
-from actcovers.kruml import _MASK_BOUND, _coded_rows, _decode, _mask, _prepend, _word
+from actcovers.kruml import (_MASK_BOUND, _MASK_MIN_LENGTH, _coded_rows, _decode, _mask, _prepend,
+                             _word)
 
 
 def walk_normalize(word):
@@ -112,12 +113,13 @@ class TestNormalize:
             for w in itertools.product(range(4), repeat=n):
                 assert knormalize(w) == rightmost_normalize(w)
 
-    @pytest.mark.parametrize("length", [23, 24, 25, 200])
+    @pytest.mark.parametrize("length", [_MASK_MIN_LENGTH - 1, _MASK_MIN_LENGTH,
+                                        _MASK_MIN_LENGTH + 1, 200])
     @pytest.mark.parametrize("top", [-1, 0], ids=["len-1", "len"])
     def test_mask_and_walk_agree_around_the_selection(self, length, top):
-        # knormalize takes the mask from 24 letters on while every letter
-        # is below the length; each side of both guards gives the walk's
-        # word and the random strategy's
+        # knormalize takes the mask from _MASK_MIN_LENGTH letters on while
+        # the letters are below the length; each side of both guards gives
+        # the walk's word and the random strategy's
         rng = random.Random(length)
         for _ in range(3):
             w = [rng.randrange(length) for _ in range(length - 1)]
@@ -136,6 +138,18 @@ class TestNormalize:
         nf = walk_normalize(w)
         assert knormalize(w) == nf == knormalize_random(w, random.Random(where))
         assert nf[-1] == 10**300 - sum(x < 10**300 for x in w[where + 1:])
+
+    def test_the_walk_goes_on_from_the_mask(self):
+        # the letters right of the rightmost large one are read onto the
+        # mask, and those left of it are prepended to the mask's word
+        n = 2 * _MASK_MIN_LENGTH
+        base = [(5 * p) % 11 for p in range(n)]
+        for p in range(n):
+            for big in (n, 10**12):
+                w = tuple(base[:p] + [big] + base[p + 1:])
+                assert knormalize(w) == walk_normalize(w)
+                w = tuple(base[:p] + [big] + base[p + 1:-1] + [n - 1 + p])
+                assert knormalize(w) == walk_normalize(w)
 
     @pytest.mark.parametrize("word,message", [
         ((-1, 0), "^generator indices must be nonnegative$"),
@@ -256,10 +270,11 @@ class TestMasks:
 
     @pytest.mark.parametrize("word,message", SHORT_ERRORS + LONG_ERRORS)
     def test_errors_are_those_of_knormalize(self, word, message):
-        # _mask takes no bad letter; every entry point then reads the word
-        # right to left on the letters, so the same letter is reported
+        # neither _mask nor knormalize's mask loop takes a bad letter; every
+        # entry point then reads the word right to left on the letters, so
+        # the same letter is reported
         fs = FinXSystem(("x", "y"))
-        assert _mask(word) is None and _mask(word, 0, len(word)) is None
+        assert _mask(word) is None
         for f in (knormalize,
                   lambda w: knormalize_random(w, random.Random(0)),
                   lambda w: kmul(w, (1,)),
@@ -466,8 +481,9 @@ def list_push(small, large, words):
 
 
 class TestMaskBound:
-    # the mask paths take letters below _MASK_BOUND and hand a word with
-    # a larger one to the letters; knormalize, kmul and list_push are the
+    # left_cancel_test and colimit_equal take the mask for letters below
+    # _MASK_BOUND and hand a word with a larger one to the letters, which
+    # transition always works on; knormalize, kmul and list_push are the
     # oracles on both sides of the bound
     FS = FinXSystem(("x", "y", "z", "t"))
     LETTERS = [_MASK_BOUND - 1, _MASK_BOUND, 10**300]
