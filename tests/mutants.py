@@ -310,7 +310,7 @@ MUTANTS = (
         "kruml-normalize-walk-drops-mask-word", "kruml.py",
         "w, rest = list(_word(mask)), word[:n - taken]",
         "w, rest = [], word[:n - taken]",
-        ("tests/test_kruml.py::TestNormalize::test_the_walk_goes_on_from_the_mask",)),
+        ("tests/test_kruml.py::TestNormalize::test_a_huge_letter_stays_on_the_walk",)),
     Mutant(
         "kruml-random-strategy-letters-unchecked", "kruml.py",
         "    _check_letters(word)\n    w = list(word)\n",

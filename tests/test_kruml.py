@@ -131,25 +131,14 @@ class TestNormalize:
 
     @pytest.mark.parametrize("where", [0, 13, 29])
     def test_a_huge_letter_stays_on_the_walk(self, where):
-        # a mask holding bit 10**300 cannot be built
+        # a mask holding bit 10**300 cannot be built: the letters right of
+        # it go onto the mask, and it and those left of it to the walk
         w = [(3 * p) % 7 for p in range(29)]
         w.insert(where, 10**300)
         w = tuple(w)
         nf = walk_normalize(w)
         assert knormalize(w) == nf == knormalize_random(w, random.Random(where))
         assert nf[-1] == 10**300 - sum(x < 10**300 for x in w[where + 1:])
-
-    def test_the_walk_goes_on_from_the_mask(self):
-        # the letters right of the rightmost large one are read onto the
-        # mask, and those left of it are prepended to the mask's word
-        n = 2 * _MASK_MIN_LENGTH
-        base = [(5 * p) % 11 for p in range(n)]
-        for p in range(n):
-            for big in (n, 10**12):
-                w = tuple(base[:p] + [big] + base[p + 1:])
-                assert knormalize(w) == walk_normalize(w)
-                w = tuple(base[:p] + [big] + base[p + 1:-1] + [n - 1 + p])
-                assert knormalize(w) == walk_normalize(w)
 
     @pytest.mark.parametrize("word,message", [
         ((-1, 0), "^generator indices must be nonnegative$"),
